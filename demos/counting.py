@@ -3,7 +3,9 @@
 psi(k, n) counts classically primitive words over k letters at length n;
 psi_a(k, n) counts the A-primitive ones. The gap delta = psi - psi_a is
 zero exactly at primes and n = 1, where A-primitivity and classical
-primitivity coincide and psi_a(k, p) = k^p - k in closed form.
+primitivity coincide and psi_a(k, p) = k^p - k in closed form. Other
+lengths are counted exactly by inclusion-exclusion over the maximal
+divisors n/p.
 """
 
 from abelwords import count_table, delta_prime_power, psi, psi_a
@@ -16,30 +18,32 @@ def main() -> None:
     for row in table.rows:
         print(f"  {row.n:<4} {row.psi:<9} {row.psi_a:<9} {row.delta}")
 
-    # at primes the two notions coincide, so no enumeration is needed
-    # and the closed form reaches lengths far beyond brute force
+    # at primes the two notions coincide, so psi_a needs no sum at all
+    # and reaches lengths far beyond brute force
     print("\nclosed form at prime lengths:")
     for k, p in ((2, 31), (3, 23), (5, 19)):
+        assert psi_a(k, p) == k**p - k
         print(f"  psi_a({k}, {p}) = {k}^{p} - {k} = {k**p - k}")
 
     # at prime powers p^r the gap also has a closed form, summing over
     # the ways a Parikh vector can stay constant across p^(r-1) blocks
-    print("\nprime-power gap, closed form vs enumeration:")
-    for k, p, r in ((2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)):
+    print("\nprime-power gap, closed form vs psi - psi_a:")
+    for k, p, r in ((2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 6)):
         n = p**r
         direct = delta_prime_power(k, p, r)
-        enumerated = psi(k, n) - psi_a(k, n)
-        print(f"  delta_{k}({n}) = {direct}  (enumerated: {enumerated})")
-        assert direct == enumerated
+        counted = psi(k, n) - psi_a(k, n)
+        print(f"  delta_{k}({n}) = {direct}  (psi - psi_a: {counted})")
+        assert direct == counted
 
-    # enumeration cost is k^n * n, so a budget guards composite lengths
+    # the cost of a composite row is its number of multinomial factors
+    # times n; a budget guards it, and prime rows need none
     big = count_table(4, 19, budget=10**6)
-    skipped = [n for n in range(1, 20) if n not in {r.n for r in big.rows}]
-    print(f"\ncount_table(4, 19, budget=10^6) skips composites {skipped}")
-    print("while every prime row still fills in from the closed form:")
+    print(f"\ncount_table(4, 19, budget=10^6) skips {list(big.skipped) or 'nothing'}")
     for row in big.rows:
-        if row.n in (13, 17, 19):
+        if row.n in (12, 16, 18, 19):
             print(f"  n={row.n}: psi_a = {row.psi_a}")
+    small = count_table(4, 19, budget=1000)
+    print(f"count_table(4, 19, budget=1000) skips composites {list(small.skipped)}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Command-line surface over the library.
 
 Exit codes are a stable contract: 0 positive verdict, 1 negative
-verdict, 2 usage error, 3 enumeration budget exceeded. TSV and JSON
+verdict, 2 usage error, 3 counting budget exceeded. TSV and JSON
 renderings are deterministic byte-for-byte; JSON is emitted with no
 trailing whitespace (not even a final newline) so that parsing and
 re-rendering round-trips exactly.
@@ -152,9 +152,8 @@ def _table_rows_tsv(table: CountTable) -> str:
 
 
 def cmd_count(args) -> int:
-    budget = _budget_from_env()
+    part = psi_a(args.k, args.n, budget=_budget_from_env())
     full = psi(args.k, args.n)
-    part = psi_a(args.k, args.n, budget=budget, threads=args.threads)
     if args.format == "json":
         _emit_json({"n": args.n, "psi": full, "psi_a": part, "delta": full - part})
     else:
@@ -164,11 +163,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
-    table = count_table(
-        args.k, args.max_n, budget=_budget_from_env(), threads=args.threads
-    )
+    table = count_table(args.k, args.max_n, budget=_budget_from_env())
     for n in table.skipped:
-        print(f"note: skipped n={n}, enumeration over budget", file=sys.stderr)
+        print(f"note: skipped n={n}, counting over budget", file=sys.stderr)
     if args.format == "json":
         _emit_json(
             [
@@ -252,14 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="psi, psi_a, delta for one length")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     add_format(p, kinds=("tsv", "json"))
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("table", help="psi/psi_a/delta table for n = 1..max-n")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     add_format(p, kinds=("tsv", "json"))
     p.set_defaults(func=cmd_table)
 

@@ -1,10 +1,14 @@
 """Exact counts of primitive and Abelian-primitive words.
 
-psi counts classically primitive words by Mobius inversion, so it is
-cheap at any size. psi_a has no known closed form and enumerates all
-k^n words in vectorized batches; an explicit budget on k^n * n guards
-against runaway runs. delta = psi - psi_a is zero at primes and has a
-closed form at prime powers (delta_prime_power).
+psi counts classically primitive words by Mobius inversion. psi_a counts
+A-primitive words by inclusion-exclusion over the maximal divisors n/p:
+a word is an Abelian power exactly when it has an A-root of some length
+n/p, and the words with an A-root at every n/p for p in a set S of primes
+are counted per Parikh vector as a product of multinomials. At n = 1 and
+prime n, psi_a = psi without any sum. An explicit budget on the number
+of multinomial factors guards against runaway runs. delta = psi - psi_a
+is zero at primes and has a closed form at prime powers
+(delta_prime_power), which is the |S| = 1 case of the sum.
 
 All counts are exact unbounded integers.
 """
@@ -12,19 +16,17 @@ All counts are exact unbounded integers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import combinations
 
 from .numtheory import divisors, factorize, is_prime, mobius
 
 DEFAULT_BUDGET = 1 << 30
-_BATCH = 1 << 17  # upper bound on words per enumeration span
 
 
 class EnumerationBudgetError(Exception):
-    """Enumeration cost k**n * n exceeds the configured budget."""
+    """Counting cost (multinomial factors times n) exceeds the budget."""
 
 
 @dataclass(frozen=True)
@@ -49,146 +51,79 @@ def psi(k: int, n: int) -> int:
     return sum(mobius(d) * k ** (n // d) for d in divisors(n))
 
 
-_low_digit_cache: dict[tuple[int, int], np.ndarray] = {}
+def _prime_sets(n: int):
+    """Every nonempty set of distinct primes dividing n, as a tuple."""
+    primes = factorize(n).primes
+    for size in range(1, len(primes) + 1):
+        yield from combinations(primes, size)
 
 
-def _low_digits(k: int, m: int) -> np.ndarray:
-    """Base-k digits of 0..k**m-1 as an (m, k**m) array, cached read-only."""
-    key = (k, m)
-    block = _low_digit_cache.get(key)
-    if block is None:
-        idx = np.arange(k ** m, dtype=np.int64)
-        block = np.empty((m, k ** m), dtype=np.uint8)
-        for j in range(m - 1, -1, -1):
-            block[j] = idx % k
-            idx //= k
-        block.setflags(write=False)
-        _low_digit_cache[key] = block
-    return block
+def _check_budget(k: int, n: int, budget) -> None:
+    """Refuse before any term is evaluated when the sum would cost too much.
 
-
-def _word_batch(k: int, n: int, lo: int, hi: int) -> np.ndarray:
-    """Words lo..hi of the lexicographic enumeration of k**n words.
-
-    Letter-position-major layout: column w of the (n, hi-lo) result is
-    word number lo+w. An aligned span of size k**m shares one high-digit
-    prefix, so the low digit rows come from a cached block and only the
-    prefix rows need filling.
+    For a prime set S with product L, the sum runs over the C(n/L+k-1, k-1)
+    Parikh vectors with entries divisible by L, and each contributes one
+    multinomial factor per segment: the multiples of L/p for p in S cut
+    [0, L] into sum(S) - |S| + 1 segments, because any two of them share
+    only the point L. The cost is the total factor count times n.
     """
-    count = hi - lo
-    out = np.empty((n, count), dtype=np.uint8)
-    m, size = 0, 1
-    while size < count:
-        size *= k
-        m += 1
-    if size == count and m <= n and lo % count == 0:
-        head = lo // count
-        for j in range(n - m - 1, -1, -1):
-            out[j] = head % k
-            head //= k
-        if m:
-            out[n - m:] = _low_digits(k, m)
-        return out
-    idx = np.arange(lo, hi, dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        out[j] = idx % k
-        idx //= k
-    return out
-
-
-def _parikh_weights(k: int, n: int) -> np.ndarray | None:
-    """Letter weights under which equal block sums mean equal Parikh vectors.
-
-    Letter c weighs (n+1)**c, so per-letter counts occupy separate
-    base-(n+1) digits of a block's sum; the last letter gets weight zero
-    because its count is implied by the block length. Returns None when
-    the largest possible block sum would not fit an unsigned 64-bit sum.
-    """
-    base = n + 1
-    values = [base ** c for c in range(k - 1)] + [0]
-    peak = n * values[-2] if k >= 2 else 0
-    for dtype, bits in ((np.uint16, 16), (np.uint32, 32), (np.uint64, 64)):
-        if peak < 1 << bits:
-            return np.asarray(values, dtype=dtype)
-    return None
-
-
-def _apower_mask(batch: np.ndarray, block_lengths, k: int) -> np.ndarray:
-    """Mask of words that are Abelian powers at some d in block_lengths.
-
-    `batch` is letter-position major, shape (n, count), as produced by
-    _word_batch; the result has one bool per word.
-    """
-    n, count = batch.shape
-    mask = np.zeros(count, dtype=bool)
-    if not block_lengths:
-        return mask
-    weights = _parikh_weights(k, n)
-    if weights is None:
-        # alphabet too large for packed codes; count letters directly
-        for d in block_lengths:
-            ok = np.ones(count, dtype=bool)
-            for c in range(k - 1):
-                counts = (batch == c).reshape(n // d, d, count).sum(
-                    axis=1, dtype=np.uint16
-                )
-                ok &= (counts[1:] == counts[:1]).all(axis=0)
-                if not ok.any():
-                    break
-            mask |= ok
-        return mask
-    coded = weights[batch]
-    for d in block_lengths:
-        sums = coded.reshape(n // d, d, count).sum(axis=1, dtype=weights.dtype)
-        mask |= (sums[1:] == sums[:1]).all(axis=0)
-    return mask
-
-
-def _check_budget(k: int, n: int, budget) -> int:
     limit = DEFAULT_BUDGET if budget is None else int(budget)
-    cost = k ** n * n
+    cost = n * sum(
+        math.comb(n // math.prod(s) + k - 1, k - 1) * (sum(s) - len(s) + 1)
+        for s in _prime_sets(n)
+    )
     if cost > limit:
         raise EnumerationBudgetError(
-            f"enumerating all {k}**{n} words costs {cost} weighted evaluations, "
-            f"over the budget of {limit}"
+            f"counting A-primitive words over {k} letters at n={n} costs {cost} "
+            f"(multinomial factors times n), over the budget of {limit}"
         )
-    return limit
 
 
-def psi_a(k: int, n: int, *, budget: int | None = None, threads: int = 1) -> int:
-    """Number of A-primitive length-n words over k letters, by exhaustive
-    enumeration.
+def _words_with_roots(k: int, n: int, primes) -> int:
+    """Words of length n with an A-root of length n/p for every p in primes.
 
-    The work is split into fixed lexicographic spans; with threads > 1
-    the spans run concurrently and the counts are summed, so the result
-    is identical to the serial order.
+    Such a word with Parikh vector V has prefix Parikh vector t*V/n at
+    every multiple t of each n/p, so V is L times a vector u summing to
+    n/L (L the product of the primes), and a segment of g*(n/L) letters
+    between consecutive cuts has Parikh vector g*u. The count is the sum
+    over u of the product of the segments' multinomials; equal-length
+    segments share one multinomial raised to their number.
+    """
+    lcm = math.prod(primes)
+    unit = n // lcm
+    cuts = sorted({t * (lcm // p) for p in primes for t in range(p + 1)})
+    gaps = Counter(b - a for a, b in zip(cuts, cuts[1:]))
+    total = 0
+    for u in _compositions(unit, k):
+        term = 1
+        for g, repeats in gaps.items():
+            term *= _multinomial(g * unit, [g * x for x in u]) ** repeats
+        total += term
+    return total
+
+
+def psi_a(k: int, n: int, *, budget: int | None = None) -> int:
+    """Number of A-primitive length-n words over k letters.
+
+    n = 1 and prime n use the identity psi_a = psi at any size. Otherwise
+    the Abelian powers are counted by inclusion-exclusion over the sets of
+    maximal divisors n/p, after a budget check on the cost of the sum
+    (EnumerationBudgetError when it is over).
     """
     if k < 1 or n < 1:
         raise ValueError("psi_a requires k >= 1 and n >= 1")
+    if n == 1 or is_prime(n):
+        return psi(k, n)
     _check_budget(k, n, budget)
-    total = k ** n
-    maximal = sorted({n // p for p in factorize(n).primes})
-
-    def count_span(span) -> int:
-        lo, hi = span
-        batch = _word_batch(k, n, lo, hi)
-        return int(_apower_mask(batch, maximal, k).sum())
-
-    span = 1
-    while span * k <= _BATCH and span < total:
-        span *= k
-    spans = [(lo, lo + span) for lo in range(0, total, span)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            powers = sum(pool.map(count_span, spans))
-    else:
-        powers = sum(map(count_span, spans))
-    return total - powers
+    powers = sum(
+        (-1) ** (len(s) + 1) * _words_with_roots(k, n, s) for s in _prime_sets(n)
+    )
+    return k ** n - powers
 
 
-def delta(k: int, n: int, *, budget: int | None = None, threads: int = 1) -> int:
+def delta(k: int, n: int, *, budget: int | None = None) -> int:
     """psi - psi_a; nonnegative, zero when n is 1 or prime."""
-    return psi(k, n) - psi_a(k, n, budget=budget, threads=threads)
+    return psi(k, n) - psi_a(k, n, budget=budget)
 
 
 def _compositions(total: int, parts: int):
@@ -232,30 +167,23 @@ def delta_prime_power(k: int, p: int, r: int) -> int:
     return total
 
 
-def count_table(
-    k: int, max_n: int, *, budget: int | None = None, threads: int = 1
-) -> CountTable:
+def count_table(k: int, max_n: int, *, budget: int | None = None) -> CountTable:
     """Rows (n, psi, psi_a, delta) for n = 1..max_n.
 
-    Prime lengths and n = 1 use the exact identity psi_a = psi (delta
-    vanishes there), with no enumeration, so they are exact at any size.
-    Composite lengths are enumerated; rows whose cost exceeds the budget
-    are skipped and recorded in the skipped field.
+    Every row comes from psi_a, so n = 1 and prime rows are exact at any
+    size; rows whose counting cost exceeds the budget are skipped and
+    recorded in the skipped field.
     """
     if k < 1 or max_n < 1:
         raise ValueError("count_table requires k >= 1 and max_n >= 1")
     rows = []
     skipped = []
     for n in range(1, max_n + 1):
+        try:
+            part = psi_a(k, n, budget=budget)
+        except EnumerationBudgetError:
+            skipped.append(n)
+            continue
         full = psi(k, n)
-        if n == 1 or is_prime(n):
-            part = full
-        else:
-            try:
-                part = psi_a(k, n, budget=budget, threads=threads)
-            except EnumerationBudgetError:
-                skipped.append(n)
-                continue
         rows.append(CountRow(n, full, part, full - part))
     return CountTable(k, tuple(rows), tuple(skipped))
-

@@ -9,7 +9,8 @@ from abelwords import (
     psi,
     psi_a,
 )
-from conftest import ref_a_primitive
+from abelwords.cli import main
+from conftest import _prim_table, ref_a_primitive
 
 sympy = pytest.importorskip("sympy")
 
@@ -95,10 +96,16 @@ def test_psi_a_unary():
         assert psi_a(1, n) == 0
 
 
-def test_psi_a_thread_count_does_not_change_result():
-    for k, n in ((2, 12), (3, 9), (5, 6)):
-        serial = psi_a(k, n, threads=1)
-        assert psi_a(k, n, threads=4) == serial
+def test_psi_a_matches_enumeration_oracle():
+    for k, top in ((2, 16), (3, 10), (4, 8), (5, 7)):
+        for n in range(1, top + 1):
+            assert psi_a(k, n) == int(_prim_table(k, n).sum()), (k, n)
+
+
+def test_psi_a_prime_rows_beyond_enumeration():
+    # k**n * n is far over the default budget at these primes
+    for k, p in ((2, 31), (3, 23), (2, 1009)):
+        assert psi_a(k, p) == k**p - k
 
 
 def test_a_primitive_words_are_classically_primitive():
@@ -118,14 +125,27 @@ def test_budget_error_names_the_numbers():
     with pytest.raises(EnumerationBudgetError) as info:
         psi_a(2, 40, budget=1000)
     msg = str(info.value)
+    # n = 40 = 2**3 * 5 has the prime sets {2}, {5}, {2, 5} with
+    # 21*2 + 9*5 + 5*6 = 117 multinomial factors, times n = 40
     assert "1000" in msg
-    assert "2**40" in msg or str(2**40 * 40) in msg
+    assert "4680" in msg
 
 
-def test_default_budget_blocks_huge_enumerations():
-    assert 3**19 * 19 > DEFAULT_BUDGET
-    with pytest.raises(EnumerationBudgetError):
-        psi_a(3, 19)
+def test_default_budget_blocks_huge_enumerations(capsys):
+    for k, n in ((2, 10**6), (26, 720720)):
+        with pytest.raises(EnumerationBudgetError):
+            psi_a(k, n)
+    assert main(["count", "--k", "26", "--n", "720720"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
+def test_default_budget_answers_every_enumerable_row():
+    # every row the k**n * n enumeration budget allowed is still answered
+    for k in range(2, 7):
+        n = 1
+        while k**n * n <= DEFAULT_BUDGET:
+            assert 0 <= psi_a(k, n) <= psi(k, n), (k, n)
+            n += 1
 
 
 def test_budget_env_is_not_read_by_library(monkeypatch):
@@ -148,7 +168,8 @@ def test_delta_values():
 
 
 def test_delta_prime_power_closed_form():
-    cases = [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 2), (3, 2, 2), (4, 2, 2)]
+    cases = [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 2), (3, 2, 2), (4, 2, 2),
+             (2, 2, 6), (2, 3, 3), (3, 5, 2), (2, 7, 2)]
     for k, p, r in cases:
         assert delta_prime_power(k, p, r) == delta(k, p**r), (k, p, r)
 
