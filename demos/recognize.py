@@ -39,7 +39,8 @@ def main() -> None:
     describe("aabbabab")
     describe("bbababaa")
 
-    # all three deciders agree; they differ only in how much work they do
+    # the oracle and the production decider (both names) agree; they
+    # differ only in how much work they do
     w = Word.from_text("aabbababab")
     assert (
         is_a_primitive_oracle(w).is_a_primitive

@@ -10,6 +10,7 @@ re-rendering round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -145,12 +146,26 @@ def cmd_relate(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int -> str digit limit (3.10.7+) while one command runs."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def _table_rows_tsv(table: CountTable) -> str:
     lines = [_TSV_HEADER]
     lines.extend(f"{r.n}\t{r.psi}\t{r.psi_a}\t{r.delta}" for r in table.rows)
     return "".join(line + "\n" for line in lines)
 
 
+@_unlimited_int_digits()
 def cmd_count(args) -> int:
     part = psi_a(args.k, args.n, budget=_budget_from_env())
     full = psi(args.k, args.n)
@@ -162,6 +177,7 @@ def cmd_count(args) -> int:
     return 0
 
 
+@_unlimited_int_digits()
 def cmd_table(args) -> int:
     table = count_table(args.k, args.max_n, budget=_budget_from_env())
     for n in table.skipped:
@@ -258,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, kinds=("tsv", "json"))
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("bench", help="time the three deciders on generated inputs")
+    p = sub.add_parser("bench", help="time each --algorithm choice on generated inputs")
     p.add_argument("--sizes", required=True, help="comma-separated word lengths")
     p.add_argument("--runs", type=int, default=3)
     p.set_defaults(func=cmd_bench)

@@ -3,7 +3,8 @@
 A word stores its letters as a numpy array of symbol indices so that
 counting stays cheap on multi-megabyte inputs. Parikh vectors are plain
 tuples of per-letter counts. The central primitive is the block test:
-does every length-d block of a word have the same Parikh vector?
+do all length-d blocks of a word's length-m prefix share one Parikh
+vector? Every A-root test in the package asks it of `_BlockSums`.
 """
 
 from __future__ import annotations
@@ -11,10 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 ParikhVector = tuple[int, ...]
-
-# words at or below this size use the bytes-based block check, which
-# short-circuits at the first mismatching block
-_SMALL_WORD = 2048
 
 
 class Word:
@@ -109,15 +106,9 @@ def parikh(w: Word) -> ParikhVector:
 
 def _block_count_table(letters: np.ndarray, d: int, k: int) -> np.ndarray:
     """Per-block letter counts as an (n/d, k) int64 table."""
-    m = letters.reshape(-1, d)
-    if k <= 8:
-        return np.stack([(m == c).sum(axis=1) for c in range(k)], axis=1)
-    # wide alphabets: one bincount pass over block-tagged letters
-    nblocks = m.shape[0]
-    tags = np.repeat(np.arange(nblocks, dtype=np.int64), d) * k
-    return np.bincount(tags + letters.astype(np.int64), minlength=nblocks * k).reshape(
-        nblocks, k
-    )
+    nblocks = letters.size // d
+    tags = np.repeat(np.arange(nblocks, dtype=np.int64) * k, d)
+    return np.bincount(tags + letters, minlength=nblocks * k).reshape(nblocks, k)
 
 
 def block_parikhs(w: Word, d: int) -> list[ParikhVector]:
@@ -128,19 +119,45 @@ def block_parikhs(w: Word, d: int) -> list[ParikhVector]:
     return [tuple(int(c) for c in row) for row in table]
 
 
-def _blocks_equal_bytes(raw: bytes, n: int, d: int, k: int) -> bool:
-    # count only k-1 letters: equal-length blocks pin the last count
-    first = [raw.count(c, 0, d) for c in range(k - 1)]
-    for off in range(d, n, d):
-        for c in range(k - 1):
-            if raw.count(c, off, off + d) != first[c]:
-                return False
-    return True
+def _sorted_blocks(letters: np.ndarray, d: int) -> np.ndarray:
+    # two blocks are equal once sorted exactly when their Parikh vectors are
+    return np.sort(letters.reshape(-1, d), axis=1, kind="stable")
 
 
-def _blocks_equal_table(letters: np.ndarray, d: int, k: int) -> bool:
-    table = _block_count_table(letters, d, k)
-    return bool((table[1:] == table[0]).all())
+class _BlockSums:
+    """Exact block tests on the prefixes of one word, built once per word.
+
+    `blocks_agree(m, d)`: do all length-d blocks of the length-m prefix
+    share one Parikh vector (d divides m)? With b = bit_length(n//2) and
+    (k-1)*b <= 64, letter c > 0 weighs 2^(b*(c-1)): a block of at most
+    n/2 letters then packs its counts into disjoint b-bit fields, so a
+    difference of prefix sums is its Parikh vector, exact even when the
+    sums wrap, and a test costs O(m/d). Wider alphabets sort the blocks
+    instead, in O(m) memory whatever k is.
+    """
+
+    __slots__ = ("letters", "sums")
+
+    def __init__(self, w: Word):
+        k = w.alphabet_size
+        bits = (len(w) // 2).bit_length()
+        width = (k - 1) * bits
+        # the narrowest dtype: 8- and 16-bit letters sort by radix in O(m)
+        self.letters = w.letters.astype(np.min_scalar_type(k - 1), copy=False)
+        self.sums = None
+        if width <= 64:
+            dtype = np.uint32 if width <= 32 else np.uint64
+            table = np.array([0] + [1 << (bits * (c - 1)) for c in range(1, k)], dtype=dtype)
+            # a binary word's letters are their own weights
+            weights = w.letters.astype(dtype) if k <= 2 else table[w.letters]
+            self.sums = np.cumsum(weights, out=weights)
+
+    def blocks_agree(self, m: int, d: int) -> bool:
+        if self.sums is None:
+            blocks = _sorted_blocks(self.letters[:m], d)
+            return bool((blocks[1:] == blocks[0]).all())
+        ends = self.sums[d - 1 : m : d]
+        return bool((np.diff(ends) == ends[0]).all())
 
 
 def has_a_root_of_length(w: Word, d: int) -> bool:
@@ -154,6 +171,4 @@ def has_a_root_of_length(w: Word, d: int) -> bool:
         raise ValueError(f"root length {d} must satisfy 1 <= d <= |w| and d | |w|")
     if d == n:
         return True
-    if n <= _SMALL_WORD and w.alphabet_size <= 8 and w.letters.dtype == np.uint8:
-        return _blocks_equal_bytes(w.letters.tobytes(), n, d, w.alphabet_size)
-    return _blocks_equal_table(w.letters, d, w.alphabet_size)
+    return _BlockSums(w).blocks_agree(n, d)

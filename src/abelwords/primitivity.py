@@ -2,11 +2,11 @@
 
 A word of length n is an Abelian power if it splits into at least two
 equal-length blocks whose Parikh vectors all agree; it is A-primitive
-otherwise. The oracle tries every proper divisor of n. The fast decider
-tests only the maximal proper divisors n/p, which suffices because an
-A-root of length d lifts to every multiple of d dividing n. The linear
-decider additionally caches the Parikh vectors of blocks of length
-gpf(n) and derives the others by summing them, for O(n) total work.
+otherwise. The oracle tries every proper divisor of n. The production
+decider tests only the maximal proper divisors n/p, which suffices
+because an A-root of length d lifts to every multiple of d dividing n.
+It builds the word's block sums once and runs every test on them, so a
+verdict costs O(n) time and memory whatever the alphabet size.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .numtheory import divisors, factorize
-from .parikh import Word, _block_count_table, has_a_root_of_length
+from .parikh import Word, _BlockSums, has_a_root_of_length
 
 
 @dataclass(frozen=True)
@@ -46,47 +44,22 @@ def is_a_primitive_oracle(w: Word) -> PrimitivityVerdict:
     return PrimitivityVerdict(True)
 
 
-def _maximal_proper_divisors(n: int) -> list[int]:
-    # factorize lists primes ascending, so n/p comes out descending
-    return [n // p for p, _ in factorize(n).entries]
+def _maximal_root(sums: _BlockSums, m: int) -> Optional[int]:
+    """The first m/p, for primes p | m ascending, that is an A-root of
+    the length-m prefix; None when that prefix is A-primitive."""
+    for p in factorize(m).primes:
+        if sums.blocks_agree(m, m // p):
+            return m // p
+    return None
 
 
 def is_a_primitive(w: Word) -> PrimitivityVerdict:
-    """Decider testing only the maximal proper divisors n/p."""
+    """Test the maximal proper divisors n/p in ascending p on one set of
+    block sums; the witness is the largest of them that is an A-root."""
     n = _require_nonempty(w)
-    if n == 1:
-        return PrimitivityVerdict(True)
-    for d in _maximal_proper_divisors(n):
-        if has_a_root_of_length(w, d):
-            return PrimitivityVerdict(False, d)
-    return PrimitivityVerdict(True)
+    d = _maximal_root(_BlockSums(w), n)
+    return PrimitivityVerdict(d is None, d)
 
 
-def is_a_primitive_linear(w: Word) -> PrimitivityVerdict:
-    """O(n) decider reusing counts of blocks of length gpf(n).
-
-    When gpf(n)^2 does not divide n, the divisor n/gpf(n) is not a
-    multiple of gpf(n); it is tested eagerly, before the cache is built,
-    and the verdict returns immediately on a hit. Every remaining
-    maximal divisor d is a multiple of g = gpf(n), so the Parikh vectors
-    of its blocks are sums of d/g consecutive cached vectors.
-    """
-    n = _require_nonempty(w)
-    if n == 1:
-        return PrimitivityVerdict(True)
-    entries = factorize(n).entries
-    g = entries[-1][0]
-    candidates = [n // p for p, _ in entries]
-    if n % (g * g):
-        d = n // g
-        if has_a_root_of_length(w, d):
-            return PrimitivityVerdict(False, d)
-        candidates.remove(d)
-    if not candidates:
-        return PrimitivityVerdict(True)
-    cached = _block_count_table(w.letters, g, w.alphabet_size)
-    for d in candidates:
-        sums = cached.reshape(n // d, d // g, -1).sum(axis=1)
-        if bool((sums[1:] == sums[0]).all()):
-            return PrimitivityVerdict(False, d)
-    return PrimitivityVerdict(True)
+# the linear-time decider and the maximal-divisor decider are one function
+is_a_primitive_linear = is_a_primitive

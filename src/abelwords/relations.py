@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .parikh import Word, _block_count_table, has_a_root_of_length
-from .primitivity import is_a_primitive_linear
+from .parikh import Word, _BlockSums, _sorted_blocks, has_a_root_of_length
+from .primitivity import _maximal_root
 
 
 @dataclass(frozen=True)
@@ -40,24 +40,14 @@ def _check_pair(u: Word, x: Word, n: int) -> None:
 def sim_n(u: Word, x: Word, n: int) -> bool:
     """All 2m length-n blocks of u and x share one Parikh vector."""
     _check_pair(u, x, n)
-    if len(u) == 0:
-        return True
-    k = max(u.alphabet_size, x.alphabet_size)
-    tu = _block_count_table(u.letters, n, k)
-    tx = _block_count_table(x.letters, n, k)
-    first = tu[0]
-    return bool((tu == first).all()) and bool((tx == first).all())
+    # n divides |u|, so the blocks of u + x are u's blocks, then x's
+    return len(u) == 0 or has_a_root_of_length(u + x, n)
 
 
 def simeq_n(u: Word, x: Word, n: int) -> bool:
     """Parallel blocks only: Parikh of block i of u equals block i of x."""
     _check_pair(u, x, n)
-    if len(u) == 0:
-        return True
-    k = max(u.alphabet_size, x.alphabet_size)
-    return bool(
-        (_block_count_table(u.letters, n, k) == _block_count_table(x.letters, n, k)).all()
-    )
+    return bool(np.array_equal(_sorted_blocks(u.letters, n), _sorted_blocks(x.letters, n)))
 
 
 def _counts(wd: Word, k: int) -> tuple[int, ...]:
@@ -146,15 +136,12 @@ def shared_root_check(u: Word, x: Word, n: int) -> Optional[Word]:
         raise ValueError("shared_root_check requires nonempty words")
     if len(u) % n or len(x) % n:
         raise ValueError(f"block length {n} must divide both |u| and |x|")
-    if not sim_n(u + x, x + u, n):
+    ux = u + x
+    sums = _BlockSums(ux)
+    # n divides |u| and |x|, so ux ~_n xu says exactly that every
+    # length-n block of ux, hence of u and of x, shares one Parikh vector
+    if not sums.blocks_agree(len(ux), n):
         raise ValueError("precondition failed: u and x do not commute at this block length")
-    if not is_a_primitive_linear(u.prefix(n)).is_a_primitive:
+    if _maximal_root(sums, n) is not None:
         return None
-    # the relation already forces every block of u, and of x, to match
-    # the prefix's Parikh vector; re-verify rather than trust it
-    if not (has_a_root_of_length(u, n) and has_a_root_of_length(x, n)):
-        raise RuntimeError("internal error: block alignment lost after sim held")
-    k = max(u.alphabet_size, x.alphabet_size)
-    if _counts(u.prefix(n), k) != _counts(x.prefix(n), k):
-        raise RuntimeError("internal error: prefix Parikh vectors diverge after sim held")
     return x.prefix(n)

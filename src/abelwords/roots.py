@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .numtheory import divisors
-from .parikh import Word, has_a_root_of_length
-from .primitivity import is_a_primitive_linear
+from .parikh import Word, _BlockSums
+from .primitivity import _maximal_root
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,17 @@ class RootProfile:
 
 
 def root_profile(w: Word) -> RootProfile:
-    """Scan all proper divisors of |w| (not only maximal ones)."""
+    """Scan all proper divisors of |w| (not only maximal ones).
+
+    The root tests and the A-primitivity of each root prefix all run on
+    one set of block sums over w.
+    """
     n = len(w)
     if n < 2:
         raise ValueError("root profiles need |w| >= 2: an Abelian power has at least 2 blocks")
-    roots = [d for d in divisors(n)[:-1] if has_a_root_of_length(w, d)]
-    prim = [d for d in roots if is_a_primitive_linear(w.prefix(d)).is_a_primitive]
+    sums = _BlockSums(w)
+    roots = [d for d in divisors(n)[:-1] if sums.blocks_agree(n, d)]
+    prim = [d for d in roots if _maximal_root(sums, d) is None]
     return RootProfile(n, tuple(roots), tuple(prim))
 
 

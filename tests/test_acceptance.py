@@ -32,7 +32,7 @@ from abelwords import (
     simeq_n,
     witness_is_valid,
 )
-from conftest import _digit_block, max_division_free_size, sweep_violations
+from conftest import _digit_block, _prim_table, max_division_free_size, sweep_violations
 
 # A-primitive word counts by alphabet size and length.
 REF_K2 = [2, 2, 6, 10, 30, 36, 126, 186, 456, 740,
@@ -81,22 +81,24 @@ def test_criterion_2_prime_closed_form():
         assert psi_a(k, p) == k**p - k
 
 
-@pytest.mark.acceptance(3, "three deciders agree on all short binary and ternary words")
+@pytest.mark.acceptance(3, "deciders agree with the reference on all short binary and ternary words")
 def test_criterion_3_decider_equivalence():
     start = time.perf_counter()
     checked = 0
     for k, max_n in ((2, 16), (3, 9)):
         for n in range(1, max_n + 1):
             total = k**n
+            expected = _prim_table(k, n)
             for lo in range(0, total, 1 << 16):
                 hi = min(lo + (1 << 16), total)
                 rows = np.ascontiguousarray(_digit_block(k, n, lo, hi).T)
-                for row in rows:
+                for i, row in enumerate(rows, start=lo):
                     w = Word(row, k)
                     a = is_a_primitive_oracle(w)
                     b = is_a_primitive(w)
                     c = is_a_primitive_linear(w)
                     assert a.is_a_primitive == b.is_a_primitive == c.is_a_primitive
+                    assert a.is_a_primitive == expected[i], (k, n, i)
                     checked += 1
     assert checked == (2**17 - 2) + (3**10 - 3) // 2
     assert time.perf_counter() - start < 60

@@ -1,11 +1,14 @@
+import decimal
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import abelwords
 from abelwords.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table_k2_n20.tsv"
@@ -58,6 +61,14 @@ def test_check_algorithms_agree(cli):
         code, out, _ = cli(["check", "aabbab", "--algorithm", algo])
         assert code == 0
         assert f"algorithm {algo}" in out
+
+
+def test_fast_and_linear_report_the_same_witness(cli):
+    # both test n/p in ascending p, so the first hit on aaaaaa is 6/2
+    for algo in ("fast", "linear"):
+        code, out, _ = cli(["check", "aaaaaa", "--algorithm", algo, "--format", "json"])
+        assert code == 1
+        assert json.loads(out) == {"verdict": False, "witness": 3}
 
 
 def test_check_reads_stdin(cli):
@@ -187,6 +198,23 @@ def test_count_prime_row_beyond_enumeration(cli):
     assert out == "n\tpsi\tpsi_a\tdelta\n31\t2147483646\t2147483646\t0\n"
 
 
+def test_count_prints_counts_past_the_int_digit_limit(cli):
+    # 2^15013 has 4520 decimal digits, past Python's default int -> str
+    # limit; Decimal renders them here without touching that limit
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5000
+        row = str(decimal.Decimal(2) ** 15013 - 2)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = cli(["count", "--k", "2", "--n", "15013"])
+    assert code == 0
+    assert out == f"n\tpsi\tpsi_a\tdelta\n15013\t{row}\t{row}\t0\n"
+    code, out, _ = cli(["count", "--k", "2", "--n", "15013", "--format", "json"])
+    assert code == 0
+    assert out == f'{{"n": 15013, "psi": {row}, "psi_a": {row}, "delta": 0}}'
+    # the limit is lifted for the output only
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_count_env_budget_must_be_integer(cli, monkeypatch):
     monkeypatch.setenv("ABELWORDS_BUDGET", "plenty")
     code, _, err = cli(["count", "--k", "2", "--n", "6"])
@@ -246,10 +274,15 @@ def test_usage_errors(cli):
 
 
 def test_installed_entrypoint_runs():
+    # the child imports the same abelwords as this process, installed or not
+    src = str(pathlib.Path(abelwords.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "abelwords.cli", "check", "aabbab"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("A-primitive")

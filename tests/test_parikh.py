@@ -1,9 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelwords import Word, block_parikhs, has_a_root_of_length, parikh
+from abelwords import (
+    Word,
+    block_parikhs,
+    has_a_root_of_length,
+    is_a_primitive_linear,
+    parikh,
+    root_profile,
+)
+from abelwords.parikh import _BlockSums
 from conftest import ref_has_root
 
 words = st.text(alphabet="abcd", min_size=1, max_size=40)
@@ -166,21 +176,22 @@ def test_full_length_root_always_exists():
         assert has_a_root_of_length(w, len(s))
 
 
-def test_byte_and_table_paths_agree():
+def test_packed_and_sorted_modes_agree():
     rng = np.random.default_rng(42)
     for n, k in ((12, 2), (60, 3), (2048, 4), (4100, 3)):
         samples = [rng.integers(0, k, size=n).astype(np.uint8) for _ in range(6)]
         for block_len in (d for d in (1, 2, 4, n // 2) if n % d == 0):
             tiled = np.tile(rng.integers(0, k, size=block_len), n // block_len)
             samples.append(tiled.astype(np.uint8))
+        divs = [d for d in range(1, n + 1) if n % d == 0]
         for letters in samples:
-            small = Word(letters, k)  # byte path when n <= 2048, k <= 8
-            wide = Word(letters.astype(np.int64), 9 + k)  # table path
-            for d in range(1, n + 1):
-                if n % d:
-                    continue
-                got = has_a_root_of_length(small, d)
-                assert got == has_a_root_of_length(wide, d)
+            packed = _BlockSums(Word(letters, k))
+            # 70 + k letters need more than 64 bits packed at these lengths
+            wide = _BlockSums(Word(letters.astype(np.int64), 70 + k))
+            assert packed.sums is not None and wide.sums is None
+            for m in divs:
+                for d in (d for d in divs if m % d == 0):
+                    assert packed.blocks_agree(m, d) == wide.blocks_agree(m, d)
 
 
 def test_upward_closure_exhaustive_binary_12():
@@ -204,3 +215,17 @@ def test_upward_closure_ternary_sampled(x):
     roots = {d for d in (1, 2, 5) if has_a_root_of_length(w, d)}
     if 1 in roots:
         assert {2, 5} <= roots
+
+
+def test_wide_alphabet_memory_stays_linear():
+    # 2^14 letters over 4096: a count table per block would take
+    # (n/d)·k·8 bytes, hundreds of MiB at small d
+    w = Word(np.random.default_rng(3).integers(0, 4096, 2**14), 4096)
+    for run in (is_a_primitive_linear, root_profile):
+        tracemalloc.start()
+        try:
+            run(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (run.__name__, peak)
