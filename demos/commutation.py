@@ -2,8 +2,10 @@
 
 Two words u, x commute under the block relation ~_n when ux ~_n xu,
 i.e. both concatenations split into length-n blocks sharing one
-letter-count vector. The witness factors u and x into aligned block
-sequences; when the first block is A-primitive it is a shared A-root.
+letter-count vector. The witness cuts every length-n block of ux into
+alpha_i beta_i, with |alpha_i| = |u| mod n: the alphas share one
+letter-count vector and so do the betas. When the first block is
+A-primitive it is a shared A-root.
 """
 
 from abelwords import (
@@ -26,19 +28,19 @@ def main() -> None:
 
     wit = commute_check(u, x, n)
     assert wit is not None and witness_is_valid(u, x, n, wit)
-    print(f"witness: r={wit.r}, s={wit.s}")
+    print(f"witness: r={wit.r}, s={wit.s}, q={wit.q}")
     for i, alpha in enumerate(wit.alphas, start=1):
         print(f"  alpha_{i} = {alpha.to_text()!r}")
     for j, beta in enumerate(wit.betas, start=1):
         print(f"  beta_{j} = {beta.to_text()!r}")
 
-    # ~_n is strictly finer than block-multiset equivalence: baa and a
-    # give concatenations with the same block multiset but different
-    # block sequences, so they do not commute
+    # ~_n is strictly finer than the parallel-block relation simeq_n:
+    # ux = ba.aa and xu = ab.aa agree block by block, but the blocks ba
+    # and aa of ux differ in Parikh vector, so baa and a do not commute
     u2, x2 = Word.from_text("baa"), Word.from_text("a")
     print(f"\nu = 'baa', x = 'a', n = 2")
-    print(f"  same block multiset:  {simeq_n(u2 + x2, x2 + u2, 2)}")
-    print(f"  blockwise equivalent: {sim_n(u2 + x2, x2 + u2, 2)}")
+    print(f"  parallel blocks agree: {simeq_n(u2 + x2, x2 + u2, 2)}")
+    print(f"  all blocks agree:      {sim_n(u2 + x2, x2 + u2, 2)}")
     print(f"  witness: {commute_check(u2, x2, 2)}")
 
     # when two commuting words both have an A-root at length n, the

@@ -206,16 +206,19 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or any(s < 4 for s in sizes):
         raise ValueError("--sizes needs comma-separated integers >= 4")
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
+    # names that share one function are timed once, under all their names
+    deciders: dict[object, list[str]] = {}
+    for name, decide in _ALGORITHMS.items():
+        deciders.setdefault(decide, []).append(name)
     print(f"runs per timing: {args.runs} (best shown)")
     for size in sizes:
         for label, w in _bench_words(size):
             timings = []
-            for name in ("oracle", "fast", "linear"):
-                decide = _ALGORITHMS[name]
-                best = min(
-                    _timed(decide, w) for _ in range(args.runs)
-                )
-                timings.append(f"{name} {best:.6f}s")
+            for decide, names in deciders.items():
+                best = min(_timed(decide, w) for _ in range(args.runs))
+                timings.append(f"{'/'.join(names)} {best:.6f}s")
             print(f"size {len(w):>10}  {label:<11} " + "  ".join(timings))
     return 0
 
@@ -274,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, kinds=("tsv", "json"))
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("bench", help="time each --algorithm choice on generated inputs")
+    p = sub.add_parser("bench", help="time each distinct decider on generated inputs")
     p.add_argument("--sizes", required=True, help="comma-separated word lengths")
     p.add_argument("--runs", type=int, default=3)
     p.set_defaults(func=cmd_bench)

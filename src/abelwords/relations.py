@@ -2,11 +2,18 @@
 
 Two words of one length relate under ~_n when ALL their length-n blocks
 (from both words) share a single Parikh vector; the weaker parallel
-relation only compares block i of one word with block i of the other.
-Commutation is constructive: ux ~_n xu holds exactly when u and x split
-into alternating alpha/beta parts with |alpha_i beta_i| = n, all alphas
-Parikh-equal and all betas Parikh-equal; commute_check constructs that
-witness and validates it before returning.
+relation simeq_n only compares block i of one word with block i of the
+other. Commutation is constructive: ux ~_n xu holds exactly when there
+are 1 <= s <= r and words alpha_1, beta_1, ..., alpha_r, beta_r with
+
+  (a) u = alpha_1 beta_1 ... alpha_{s-1} beta_{s-1} alpha_s and
+      x = beta_s alpha_{s+1} beta_{s+1} ... alpha_r beta_r;
+  (b) |alpha_i beta_i| = n for every i;
+  (c) all alphas share one Parikh vector, and all betas share one.
+
+By (a) and (b), alpha_i beta_i is the i-th length-n block of ux, every
+alpha has length q = |u| mod n and s = |u| div n + 1, so a witness is
+stored as the offsets r, s, q and the word ux itself.
 """
 
 from __future__ import annotations
@@ -22,10 +29,25 @@ from .primitivity import _maximal_root
 
 @dataclass(frozen=True)
 class CommutationWitness:
+    """ux in r blocks, u ending in block s, each block cut after q letters;
+    the alphas (left parts) and betas (right parts) are built when read."""
+
     r: int
     s: int
-    alphas: tuple[Word, ...]
-    betas: tuple[Word, ...]
+    q: int
+    ux: Word
+
+    def _parts(self, lo: int, hi: int | None) -> tuple[Word, ...]:
+        blocks = self.ux.letters.reshape(self.r, -1)
+        return tuple(Word(block[lo:hi], self.ux.alphabet_size) for block in blocks)
+
+    @property
+    def alphas(self) -> tuple[Word, ...]:
+        return self._parts(0, self.q)
+
+    @property
+    def betas(self) -> tuple[Word, ...]:
+        return self._parts(self.q, None)
 
 
 def _check_pair(u: Word, x: Word, n: int) -> None:
@@ -50,48 +72,32 @@ def simeq_n(u: Word, x: Word, n: int) -> bool:
     return bool(np.array_equal(_sorted_blocks(u.letters, n), _sorted_blocks(x.letters, n)))
 
 
-def _counts(wd: Word, k: int) -> tuple[int, ...]:
-    # Parikh vector padded to a common alphabet size
-    return tuple(int(c) for c in np.bincount(wd.letters, minlength=k))
-
-
 def witness_is_valid(u: Word, x: Word, n: int, wit: CommutationWitness) -> bool:
     """Check conditions (a), (b), (c) directly against u and x."""
-    r, s = wit.r, wit.s
-    if r < 1 or not 1 <= s <= r:
+    r, s, q, ux = wit.r, wit.s, wit.q, wit.ux
+    if r * n != len(ux) or not 1 <= s <= r or not 0 <= q < n or (s - 1) * n + q != len(u):
         return False
-    if len(wit.alphas) != r or len(wit.betas) != r:
+    cut = len(u)
+    if not (np.array_equal(ux.letters[:cut], u.letters)
+            and np.array_equal(ux.letters[cut:], x.letters)):
         return False
-    if any(len(a) + len(b) != n for a, b in zip(wit.alphas, wit.betas)):
-        return False
-    k = max([u.alphabet_size, x.alphabet_size]
-            + [p.alphabet_size for p in wit.alphas + wit.betas])
-    if len({_counts(a, k) for a in wit.alphas}) > 1:
-        return False
-    if len({_counts(b, k) for b in wit.betas}) > 1:
-        return False
-    u_parts = []
-    for i in range(s - 1):
-        u_parts.append(wit.alphas[i].letters)
-        u_parts.append(wit.betas[i].letters)
-    u_parts.append(wit.alphas[s - 1].letters)
-    x_parts = [wit.betas[s - 1].letters]
-    for i in range(s, r):
-        x_parts.append(wit.alphas[i].letters)
-        x_parts.append(wit.betas[i].letters)
-    return bool(np.array_equal(np.concatenate(u_parts), u.letters)) and bool(
-        np.array_equal(np.concatenate(x_parts), x.letters)
+    # column j of the r x n block table holds letter j of every block
+    blocks = ux.letters.reshape(r, n)
+    return all(
+        has_a_root_of_length(Word(part.ravel(), ux.alphabet_size), part.shape[1])
+        for part in (blocks[:, :q], blocks[:, q:])
+        if part.size
     )
 
 
 def commute_check(u: Word, x: Word, n: int) -> Optional[CommutationWitness]:
     """Witness that ux ~_n xu, or None when the relation fails.
 
-    The witness splits each length-n block of ux at offset |u| mod n:
+    The witness cuts each length-n block of ux at offset q = |u| mod n:
     the left parts are the alphas, the right parts the betas, and the
     block containing the u/x boundary has index s. When n divides |u|
-    the boundary is block-aligned and the alphas degenerate to empty
-    words, the boundary case the witness shape explicitly permits.
+    the boundary is block-aligned and the alphas are empty words, the
+    boundary case the witness shape explicitly permits.
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
@@ -102,17 +108,7 @@ def commute_check(u: Word, x: Word, n: int) -> Optional[CommutationWitness]:
     ux = u + x
     if not sim_n(ux, x + u, n):
         return None
-    r = len(ux) // n
-    q = len(u) % n
-    s = len(u) // n + 1
-    k = ux.alphabet_size
-    alphas = []
-    betas = []
-    for i in range(r):
-        block = ux.letters[i * n : (i + 1) * n]
-        alphas.append(Word(block[:q], k))
-        betas.append(Word(block[q:], k))
-    wit = CommutationWitness(r, s, tuple(alphas), tuple(betas))
+    wit = CommutationWitness(len(ux) // n, len(u) // n + 1, len(u) % n, ux)
     if not witness_is_valid(u, x, n, wit):
         raise RuntimeError(
             "internal error: commutation witness failed validation although "

@@ -157,9 +157,17 @@ def test_relate_negative(cli):
 def test_relate_json(cli):
     code, out, _ = cli(["relate", "cbabc", "abca", "--n", "3", "--format", "json"])
     assert code == 0
-    data = json.loads(out)
-    assert data["verdict"] is True
-    assert data["witness"]["alphas"] == ["cb", "bc", "bc"]
+    assert out == (
+        '{"verdict": true, "witness": {"r": 3, "s": 2, '
+        '"alphas": ["cb", "bc", "bc"], "betas": ["a", "a", "a"]}}'
+    )
+    # block-aligned: q = 0, so every alpha is the empty word
+    code, out, _ = cli(["relate", "ab", "ba", "--n", "2", "--format", "json"])
+    assert code == 0
+    assert out == (
+        '{"verdict": true, "witness": {"r": 2, "s": 2, '
+        '"alphas": ["", ""], "betas": ["ab", "ba"]}}'
+    )
     code, out, _ = cli(["relate", "baa", "a", "--n", "2", "--format", "json"])
     assert code == 1
     assert json.loads(out) == {"verdict": False, "witness": None}
@@ -259,6 +267,9 @@ def test_bench_smoke(cli):
     assert "oracle" in out and "linear" in out
     code, _, err = cli(["bench", "--sizes", "2"])
     assert code == 2
+    code, out, err = cli(["bench", "--sizes", "64", "--runs", "0"])
+    assert (code, out) == (2, "")
+    assert "--runs" in err
 
 
 # ------------------------------------------------------------- usage/misc

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from abelwords import (
     Word,
     block_parikhs,
+    commute_check,
     has_a_root_of_length,
     is_a_primitive_linear,
     parikh,
@@ -229,3 +230,18 @@ def test_wide_alphabet_memory_stays_linear():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, (run.__name__, peak)
+
+
+def test_commute_check_memory_stays_linear():
+    # 200,000 letters a side at n=2: a Word per block half would take
+    # tens of MiB; the witness keeps offsets into ux
+    flips = np.random.default_rng(4).integers(0, 2, (2, 100_000)).astype(np.uint8)
+    u, x = (Word(np.stack([f, 1 - f], axis=1).ravel(), 2) for f in flips)
+    tracemalloc.start()
+    try:
+        wit = commute_check(u, x, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert wit is not None
+    assert peak < 16 * 2**20, peak

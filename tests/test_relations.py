@@ -42,6 +42,8 @@ def test_simeq_known_pairs():
     assert simeq_n(W("abcacbabc"), W("cbabcabca"), 3)
     assert not simeq_n(W("aabb"), W("bbaa"), 2)
     assert simeq_n(W("aabb"), W("abab"), 2) is False
+    # block i against block i, not block multisets: (ab, bb) vs (bb, ab)
+    assert not simeq_n(W("abbb"), W("bbab"), 2)
 
 
 def test_relation_argument_errors():
@@ -91,7 +93,8 @@ def test_relations_symmetric_transitive(n, m, data):
 def test_commute_witness_example():
     wit = commute_check(W("cbabc"), W("abca"), 3)
     assert wit is not None
-    assert (wit.r, wit.s) == (3, 2)
+    assert (wit.r, wit.s, wit.q) == (3, 2, 2)
+    assert wit.ux == W("cbabcabca")
     assert [a.to_text() for a in wit.alphas] == ["cb", "bc", "bc"]
     assert [b.to_text() for b in wit.betas] == ["a", "a", "a"]
     assert witness_is_valid(W("cbabc"), W("abca"), 3, wit)
@@ -137,16 +140,24 @@ def test_commute_matches_relation_exhaustively():
 def test_witness_rejects_tampering():
     u, x = W("cbabc"), W("abca")
     wit = commute_check(u, x, 3)
-    bad_r = CommutationWitness(wit.r + 1, wit.s, wit.alphas, wit.betas)
-    assert not witness_is_valid(u, x, 3, bad_r)
-    bad_s = CommutationWitness(wit.r, wit.r + 1, wit.alphas, wit.betas)
-    assert not witness_is_valid(u, x, 3, bad_s)
-    swapped = CommutationWitness(wit.r, wit.s, wit.betas, wit.alphas)
-    assert not witness_is_valid(u, x, 3, swapped)
-    wrong_words = CommutationWitness(
-        wit.r, wit.s, (W("cb"), W("bc"), W("cb")), wit.betas
-    )
-    assert not witness_is_valid(u, x, 3, wrong_words)
+    assert (wit.r, wit.s, wit.q) == (3, 2, 2)
+    changed = wit.ux.letters.copy()
+    changed[-1] = 1
+    tampered = {
+        "one block too many": CommutationWitness(wit.r + 1, wit.s, wit.q, wit.ux),
+        "s past the last block": CommutationWitness(wit.r, wit.r + 1, wit.q, wit.ux),
+        "q equal to n": CommutationWitness(wit.r, wit.s, 3, wit.ux),
+        "q one short": CommutationWitness(wit.r, wit.s, wit.q - 1, wit.ux),
+        # the cut moved one letter on, to the start of the next block
+        "q one over, s adjusted": CommutationWitness(wit.r, wit.s + 1, 0, wit.ux),
+        "a changed letter in ux": CommutationWitness(wit.r, wit.s, wit.q, Word(changed, 3)),
+    }
+    for label, bad in tampered.items():
+        assert not witness_is_valid(u, x, 3, bad), label
+    # right shape and right ux for a pair that does not commute: alphas
+    # b and a differ in Parikh vector, so condition (c) rejects it
+    u2, x2 = W("baa"), W("a")
+    assert not witness_is_valid(u2, x2, 2, CommutationWitness(2, 2, 1, u2 + x2))
 
 
 # ------------------------------------------------------- shared_root_check
