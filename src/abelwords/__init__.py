@@ -10,6 +10,7 @@ block-equivalence relations.
 
 from .constructions import (
     FAMILIES,
+    ConstructionBudgetError,
     ConstructionSpec,
     antichain_word,
     first_primes,
@@ -71,6 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CommutationWitness",
+    "ConstructionBudgetError",
     "ConstructionSpec",
     "CountRow",
     "CountTable",

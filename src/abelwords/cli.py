@@ -1,10 +1,10 @@
 """Command-line surface over the library.
 
 Exit codes are a stable contract: 0 positive verdict, 1 negative
-verdict, 2 usage error, 3 counting budget exceeded. TSV and JSON
-renderings are deterministic byte-for-byte; JSON is emitted with no
-trailing whitespace (not even a final newline) so that parsing and
-re-rendering round-trips exactly.
+verdict, 2 usage error, 3 over budget (a count's cost or a constructed
+word's length). TSV and JSON renderings are deterministic byte-for-byte;
+JSON is emitted with no trailing whitespace (not even a final newline)
+so that parsing and re-rendering round-trips exactly.
 """
 
 from __future__ import annotations
@@ -16,11 +16,8 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from .constructions import ConstructionSpec, FAMILIES, m_word
+from .constructions import ConstructionBudgetError, ConstructionSpec, FAMILIES
 from .counting import CountTable, EnumerationBudgetError, count_table, psi, psi_a
-from .numtheory import is_prime
 from .parikh import Word
 from .primitivity import is_a_primitive, is_a_primitive_linear, is_a_primitive_oracle
 from .relations import commute_check
@@ -117,7 +114,7 @@ def cmd_roots(args) -> int:
 
 def cmd_construct(args) -> int:
     spec = ConstructionSpec(args.family, args.parameter)
-    print(spec.build().to_text())
+    print(spec.build(budget=_budget_from_env()).to_text())
     return 0
 
 
@@ -194,41 +191,6 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _bench_words(size: int):
-    unary = Word(np.zeros(size, dtype=np.uint8), 1)
-    p = max(2, (size + 1) // 2)
-    while not is_prime(p):
-        p += 1
-    return [("unary", unary), ("aabb(ab)^m", m_word(p))]
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if not sizes or any(s < 4 for s in sizes):
-        raise ValueError("--sizes needs comma-separated integers >= 4")
-    if args.runs < 1:
-        raise ValueError(f"--runs must be >= 1, got {args.runs}")
-    # names that share one function are timed once, under all their names
-    deciders: dict[object, list[str]] = {}
-    for name, decide in _ALGORITHMS.items():
-        deciders.setdefault(decide, []).append(name)
-    print(f"runs per timing: {args.runs} (best shown)")
-    for size in sizes:
-        for label, w in _bench_words(size):
-            timings = []
-            for decide, names in deciders.items():
-                best = min(_timed(decide, w) for _ in range(args.runs))
-                timings.append(f"{'/'.join(names)} {best:.6f}s")
-            print(f"size {len(w):>10}  {label:<11} " + "  ".join(timings))
-    return 0
-
-
-def _timed(fn, w) -> float:
-    start = time.perf_counter()
-    fn(w)
-    return time.perf_counter() - start
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abelwords",
@@ -277,11 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, kinds=("tsv", "json"))
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("bench", help="time each distinct decider on generated inputs")
-    p.add_argument("--sizes", required=True, help="comma-separated word lengths")
-    p.add_argument("--runs", type=int, default=3)
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -289,7 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationBudgetError as exc:
+    except (EnumerationBudgetError, ConstructionBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

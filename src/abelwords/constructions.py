@@ -6,19 +6,28 @@ multiroot_word(n) glues the first n primes into one word of length
 2 * p1 * ... * pn with n distinct A-primitive roots. antichain_word(n)
 realizes the upper bound s(n): one word of length 2n with an
 A-primitive root of length 2t for every t in the middle antichain of n.
+ConstructionSpec builds a family by name, after checking the length of
+the word against a budget (the counting layer's default) before
+anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import prod
 
 import numpy as np
 
+from .counting import DEFAULT_BUDGET
 from .numtheory import is_prime, multiples_closure
 from .parikh import Word
 
 FAMILIES = ("mword", "multiroot", "antichain")
+
+
+class ConstructionBudgetError(Exception):
+    """The requested word would be longer than the budget allows."""
 
 
 @dataclass(frozen=True)
@@ -28,18 +37,41 @@ class ConstructionSpec:
     family: str
     parameter: int
 
-    def validate(self) -> None:
+    def validate(self, budget: int | None = None) -> None:
+        """Check the family, the parameter's range, then the word's length
+        against the budget (default DEFAULT_BUDGET letters), and only then
+        anything slower, such as mword's primality test."""
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.family == "mword" and not is_prime(self.parameter):
+        if self.family == "mword" and self.parameter < 2:
             raise ValueError("mword requires a prime parameter")
         if self.family == "multiroot" and self.parameter < 1:
             raise ValueError("multiroot requires parameter >= 1")
         if self.family == "antichain" and self.parameter < 2:
             raise ValueError("antichain requires parameter >= 2")
+        limit = DEFAULT_BUDGET if budget is None else int(budget)
+        if self._length(limit) > limit:
+            raise ConstructionBudgetError(
+                f"{self.family} {self.parameter} would build a word of more than "
+                f"{limit} letters, over the budget"
+            )
+        if self.family == "mword" and not is_prime(self.parameter):
+            raise ValueError("mword requires a prime parameter")
 
-    def build(self) -> Word:
-        self.validate()
+    def _length(self, cap: int) -> int:
+        """Length of the word: 2p, 2 * (product of the first n primes) or
+        2n. The product stops growing once it passes cap."""
+        if self.family != "multiroot":
+            return 2 * self.parameter
+        length = 2
+        for p in islice(_primes(), self.parameter):
+            if length > cap:
+                break
+            length *= p
+        return length
+
+    def build(self, budget: int | None = None) -> Word:
+        self.validate(budget)
         if self.family == "mword":
             return m_word(self.parameter)
         if self.family == "multiroot":
@@ -63,15 +95,18 @@ def m_word(p: int) -> Word:
     return _aabb_ab_power(p - 2)
 
 
-def first_primes(count: int) -> list[int]:
-    """The first `count` primes, by incremental trial division."""
-    out: list[int] = []
+def _primes():
+    """The primes in ascending order, by incremental trial division."""
     m = 2
-    while len(out) < count:
+    while True:
         if is_prime(m):
-            out.append(m)
+            yield m
         m += 1
-    return out
+
+
+def first_primes(count: int) -> list[int]:
+    """The first `count` primes."""
+    return list(islice(_primes(), count))
 
 
 def multiroot_word(n: int) -> Word:

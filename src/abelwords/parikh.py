@@ -5,6 +5,13 @@ counting stays cheap on multi-megabyte inputs. Parikh vectors are plain
 tuples of per-letter counts. The central primitive is the block test:
 do all length-d blocks of a word's length-m prefix share one Parikh
 vector? Every A-root test in the package asks it of `_BlockSums`.
+
+The length-d blocks of w agree exactly when the prefix Parikh vectors
+at the cuts d, 2d, ..., |w| step by one vector, so a caller that names
+the block lengths it will test needs those vectors at the cuts only:
+at most sum(p) of them for the maximal divisors |w|/p. `_BlockSums`
+counts the letters between consecutive cuts when the cuts are few,
+and builds a prefix sum at every letter when they are not.
 """
 
 from __future__ import annotations
@@ -124,27 +131,76 @@ def _sorted_blocks(letters: np.ndarray, d: int) -> np.ndarray:
     return np.sort(letters.reshape(-1, d), axis=1, kind="stable")
 
 
+# Counting one segment takes about one numpy call per alphabet letter,
+# each worth what a prefix sum spends on this many letters: the block
+# sums count segments when (number of cuts) * k * _CUT_COST <= n.
+_CUT_COST = 512
+# segments are counted in chunks of this many letters, so scratch memory
+# does not grow with the word
+_CHUNK = 1 << 16
+# alphabets up to this size count by comparisons, wider ones by bincount
+_NARROW = 16
+
+
+def _chunks(segment: np.ndarray):
+    return (segment[lo : lo + _CHUNK] for lo in range(0, segment.size, _CHUNK))
+
+
+def _segment_counts(segment: np.ndarray, k: int):
+    """Letter counts of one segment. Comparisons and bincounts run on
+    chunks of at most _CHUNK letters, so their scratch memory stays small."""
+    if k > _NARROW:
+        return sum(np.bincount(chunk, minlength=k) for chunk in _chunks(segment)).tolist()
+    # letter c >= 2 by comparison, then letter 1 from the nonzero count
+    # and letter 0 from the length
+    counts = [segment.size, np.count_nonzero(segment)] + [0] * (k - 2)
+    if k > 2:
+        for chunk in _chunks(segment):
+            for c in range(2, k):
+                counts[c] += np.count_nonzero(chunk == c)
+    counts[1] -= sum(counts[2:])
+    counts[0] -= sum(counts[1:])
+    return counts[:k]
+
+
 class _BlockSums:
     """Exact block tests on the prefixes of one word, built once per word.
 
     `blocks_agree(m, d)`: do all length-d blocks of the length-m prefix
-    share one Parikh vector (d divides m)? With b = bit_length(n//2) and
-    (k-1)*b <= 64, letter c > 0 weighs 2^(b*(c-1)): a block of at most
-    n/2 letters then packs its counts into disjoint b-bit fields, so a
-    difference of prefix sums is its Parikh vector, exact even when the
-    sums wrap, and a test costs O(m/d). Wider alphabets sort the blocks
-    instead, in O(m) memory whatever k is.
+    share one Parikh vector (d divides m)? A caller that passes the
+    block `lengths` it will test may get the sparse mode: when the cuts
+    they imply are few, sum(n/d) * k * _CUT_COST <= n, the word is
+    counted once between consecutive cuts, in chunks of _CHUNK letters,
+    and only the prefix Parikh vectors at the cuts are kept, as exact
+    int64 rows. The mode is chosen from sum(n/d) and k before anything is
+    built; in the sparse mode `blocks_agree` accepts only d in `lengths`.
+
+    Otherwise (the dense mode) every prefix is available: with
+    b = bit_length(n//2) and (k-1)*b <= 64, letter c > 0 weighs
+    2^(b*(c-1)), so a block of at most n/2 letters packs its counts into
+    disjoint b-bit fields, a difference of prefix sums is its Parikh
+    vector, exact even when the sums wrap, and a test costs O(m/d).
+    Wider alphabets sort the blocks instead, in O(m) memory whatever k is.
     """
 
-    __slots__ = ("letters", "sums")
+    __slots__ = ("letters", "sums", "rows")
 
-    def __init__(self, w: Word):
-        k = w.alphabet_size
-        bits = (len(w) // 2).bit_length()
+    def __init__(self, w: Word, lengths=None):
+        n, k = len(w), w.alphabet_size
+        self.letters = self.sums = self.rows = None
+        if lengths is not None and sum(n // d for d in lengths) * k * _CUT_COST <= n:
+            prefix, counts, start = {}, [0] * k, 0
+            for end in sorted({t for d in lengths for t in range(d, n + 1, d)}):
+                segment = _segment_counts(w.letters[start:end], k)
+                prefix[end] = counts = [a + b for a, b in zip(counts, segment)]
+                start = end
+            self.rows = {d: np.array([prefix[t] for t in range(d, n + 1, d)], dtype=np.int64)
+                         for d in lengths}
+            return
+        bits = (n // 2).bit_length()
         width = (k - 1) * bits
         # the narrowest dtype: 8- and 16-bit letters sort by radix in O(m)
         self.letters = w.letters.astype(np.min_scalar_type(k - 1), copy=False)
-        self.sums = None
         if width <= 64:
             dtype = np.uint32 if width <= 32 else np.uint64
             table = np.array([0] + [1 << (bits * (c - 1)) for c in range(1, k)], dtype=dtype)
@@ -153,11 +209,14 @@ class _BlockSums:
             self.sums = np.cumsum(weights, out=weights)
 
     def blocks_agree(self, m: int, d: int) -> bool:
-        if self.sums is None:
+        if self.rows is not None:
+            ends = self.rows[d][: m // d]
+        elif self.sums is not None:
+            ends = self.sums[d - 1 : m : d]
+        else:
             blocks = _sorted_blocks(self.letters[:m], d)
             return bool((blocks[1:] == blocks[0]).all())
-        ends = self.sums[d - 1 : m : d]
-        return bool((np.diff(ends) == ends[0]).all())
+        return bool((ends[1:] - ends[:-1] == ends[0]).all())
 
 
 def has_a_root_of_length(w: Word, d: int) -> bool:
@@ -171,4 +230,4 @@ def has_a_root_of_length(w: Word, d: int) -> bool:
         raise ValueError(f"root length {d} must satisfy 1 <= d <= |w| and d | |w|")
     if d == n:
         return True
-    return _BlockSums(w).blocks_agree(n, d)
+    return _BlockSums(w, (d,)).blocks_agree(n, d)

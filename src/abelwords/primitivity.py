@@ -5,8 +5,12 @@ equal-length blocks whose Parikh vectors all agree; it is A-primitive
 otherwise. The oracle tries every proper divisor of n. The production
 decider tests only the maximal proper divisors n/p, which suffices
 because an A-root of length d lifts to every multiple of d dividing n.
-It builds the word's block sums once and runs every test on them, so a
-verdict costs O(n) time and memory whatever the alphabet size.
+Their blocks agree exactly when the prefix Parikh vector at each cut
+t·n/p is t/p of the word's, so the decider hands those lengths to the
+block engine: when the cuts, at most sum(p) of them, are few, it counts
+the word once between consecutive cuts in fixed-size chunks; otherwise
+it builds prefix sums at every letter. Either way a verdict costs O(n)
+time and memory whatever the alphabet size.
 """
 
 from __future__ import annotations
@@ -44,20 +48,27 @@ def is_a_primitive_oracle(w: Word) -> PrimitivityVerdict:
     return PrimitivityVerdict(True)
 
 
-def _maximal_root(sums: _BlockSums, m: int) -> Optional[int]:
-    """The first m/p, for primes p | m ascending, that is an A-root of
-    the length-m prefix; None when that prefix is A-primitive."""
-    for p in factorize(m).primes:
-        if sums.blocks_agree(m, m // p):
-            return m // p
-    return None
+def _maximal_divisors(m: int) -> list[int]:
+    """m/p for the primes p dividing m, in ascending p."""
+    return [m // p for p in factorize(m).primes]
+
+
+def _maximal_root(sums: _BlockSums, m: int, lengths=None) -> Optional[int]:
+    """The first of `lengths` (by default the maximal divisors of m) that
+    is an A-root of the length-m prefix; None when the prefix is
+    A-primitive."""
+    if lengths is None:
+        lengths = _maximal_divisors(m)
+    return next((d for d in lengths if sums.blocks_agree(m, d)), None)
 
 
 def is_a_primitive(w: Word) -> PrimitivityVerdict:
-    """Test the maximal proper divisors n/p in ascending p on one set of
-    block sums; the witness is the largest of them that is an A-root."""
+    """Test the maximal proper divisors n/p in ascending p on block sums
+    built for those lengths alone; the witness is the largest of them
+    that is an A-root."""
     n = _require_nonempty(w)
-    d = _maximal_root(_BlockSums(w), n)
+    lengths = _maximal_divisors(n)
+    d = _maximal_root(_BlockSums(w, lengths), n, lengths)
     return PrimitivityVerdict(d is None, d)
 
 

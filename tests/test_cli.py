@@ -131,6 +131,19 @@ def test_construct_families(cli):
     assert (code, out) == (0, "aabbabababab\n")
 
 
+def test_construct_over_budget_exit_code(cli, monkeypatch):
+    # checked before any allocation: multiroot 12 has 2·(2·3·...·37) letters
+    for argv in (["construct", "multiroot", "12"], ["construct", "antichain", "1000000000000"]):
+        code, out, err = cli(argv)
+        assert (code, out) == (3, ""), argv
+        assert "over the budget" in err
+    code, out, _ = cli(["construct", "multiroot", "3"])
+    assert (code, out) == (0, "aabb" + "ab" * 28 + "\n")
+    monkeypatch.setenv("ABELWORDS_BUDGET", "59")
+    code, _, err = cli(["construct", "antichain", "30"])
+    assert code == 3 and "59 letters" in err
+
+
 def test_construct_bad_parameter(cli):
     code, _, err = cli(["construct", "mword", "6"])
     assert code == 2
@@ -256,20 +269,6 @@ def test_table_json(cli):
         {"n": 3, "psi": 6, "psi_a": 6, "delta": 0},
         {"n": 4, "psi": 12, "psi_a": 10, "delta": 2},
     ]
-
-
-# ------------------------------------------------------------------ bench
-
-
-def test_bench_smoke(cli):
-    code, out, _ = cli(["bench", "--sizes", "64,128", "--runs", "1"])
-    assert code == 0
-    assert "oracle" in out and "linear" in out
-    code, _, err = cli(["bench", "--sizes", "2"])
-    assert code == 2
-    code, out, err = cli(["bench", "--sizes", "64", "--runs", "0"])
-    assert (code, out) == (2, "")
-    assert "--runs" in err
 
 
 # ------------------------------------------------------------- usage/misc

@@ -4,12 +4,17 @@ import pytest
 
 from abelwords import (
     FAMILIES,
+    ConstructionBudgetError,
     ConstructionSpec,
     Word,
     antichain_word,
     count_distinct_a_primitive_roots,
+    factorize,
     first_primes,
+    has_a_root_of_length,
+    is_a_primitive,
     is_a_primitive_linear,
+    is_a_primitive_oracle,
     is_in_M,
     m_word,
     middle_antichain,
@@ -17,6 +22,7 @@ from abelwords import (
     parikh,
     root_profile,
 )
+from conftest import ref_a_primitive
 
 Z30 = "aabbababababaabbababaabbaabbababaabbaabbababaabbababababaabb"
 
@@ -55,6 +61,22 @@ def test_membership_in_M():
         assert is_in_M(Word.from_text(s, alphabet_size=2)) == expected, s
     for s in ("abab", "aabba", "bbaa", "ab", "aab", "aabbba", "abababab"):
         assert not is_in_M(Word.from_text(s, alphabet_size=2)), s
+
+
+def test_composite_aabb_ab_words_are_abelian_powers():
+    # the converse half of A-primitive ∩ aabb(ab)* = M: at composite q,
+    # aabb(ab)^(q-2) has an A-root of length 2q/p for every prime p | q
+    for q in range(4, 201):
+        primes = factorize(q).primes
+        if primes == (q,):
+            continue
+        w = Word.from_text("aabb" + "ab" * (q - 2), alphabet_size=2)
+        assert not is_a_primitive(w).is_a_primitive, q
+        assert not is_a_primitive_oracle(w).is_a_primitive, q
+        assert not ref_a_primitive(w.to_text()), q
+        for p in primes:
+            assert has_a_root_of_length(w, 2 * q // p), (q, p)
+        assert not is_in_M(w), q
 
 
 def test_multiroot_words_have_expected_roots():
@@ -110,3 +132,14 @@ def test_construction_spec_validation():
         ConstructionSpec("multiroot", 0).build()
     with pytest.raises(ValueError):
         ConstructionSpec("antichain", 1).build()
+
+
+def test_construction_spec_checks_length_before_building():
+    # the word's length is known up front: 2p, 2·(first n primes), 2n
+    assert ConstructionSpec("antichain", 30).build(budget=60).to_text() == Z30
+    for family, parameter, budget in (("antichain", 30, 59), ("mword", 5, 9),
+                                      ("multiroot", 2, 11), ("multiroot", 12, None),
+                                      ("antichain", 10**12, None),
+                                      ("mword", 10**18 + 3, None)):
+        with pytest.raises(ConstructionBudgetError):
+            ConstructionSpec(family, parameter).build(budget=budget)

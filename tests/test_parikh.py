@@ -10,6 +10,7 @@ from abelwords import (
     block_parikhs,
     commute_check,
     has_a_root_of_length,
+    is_a_primitive,
     is_a_primitive_linear,
     parikh,
     root_profile,
@@ -195,6 +196,34 @@ def test_packed_and_sorted_modes_agree():
                     assert packed.blocks_agree(m, d) == wide.blocks_agree(m, d)
 
 
+def _shuffled_power(rng, letters: np.ndarray, d: int) -> np.ndarray:
+    """n/d copies of the first length-d block of letters, each shuffled."""
+    copies = np.tile(letters[:d], letters.size // d).reshape(-1, d)
+    return rng.permuted(copies, axis=1).ravel()
+
+
+def test_sparse_and_dense_modes_agree():
+    rng = np.random.default_rng(7)
+    # 720720 = 2^4·3^2·5·7·11·13: 41 cuts, few enough for k <= 26
+    for n, k, lengths in [(720_720, k, [720_720 // p for p in (2, 3, 5, 7, 11, 13)])
+                          for k in (1, 2, 4, 5, 26)] + [(1 << 21, 2048, [1 << 20])]:
+        dtype = np.uint8 if k <= 256 else np.int64
+        base = [rng.integers(0, k, n).astype(dtype) for _ in range(2)]
+        samples = base + [_shuffled_power(rng, base[0], d) for d in lengths]
+        for letters in samples:
+            w = Word(letters, k)
+            sparse, dense = _BlockSums(w, lengths), _BlockSums(w)
+            assert sparse.rows is not None and dense.rows is None, (n, k)
+            agree = [sparse.blocks_agree(n, d) for d in lengths]
+            assert agree == [dense.blocks_agree(n, d) for d in lengths], (n, k)
+            # the kept rows are the prefix Parikh vectors at the cuts
+            d = lengths[-1]
+            counts = [np.bincount(letters[: t * d], minlength=k) for t in (1, n // d)]
+            assert np.array_equal(sparse.rows[d][[0, -1]], counts), (n, k)
+            root = next((d for d, a in zip(lengths, agree) if a), None)
+            assert is_a_primitive(w).witness_root_length == root, (n, k)
+
+
 def test_upward_closure_exhaustive_binary_12():
     n = 12
     pairs = [(a, b) for a in (1, 2, 3, 4, 6) for b in (2, 3, 4, 6) if b % a == 0 and a != b]
@@ -244,4 +273,28 @@ def test_commute_check_memory_stays_linear():
     finally:
         tracemalloc.stop()
     assert wit is not None
+    assert peak < 16 * 2**20, peak
+
+
+def _peak_bytes(run, *args) -> int:
+    tracemalloc.start()
+    try:
+        run(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decider_memory_does_not_grow_with_the_word():
+    # one maximal divisor: two segments, counted in fixed-size chunks
+    w = Word(np.random.default_rng(5).integers(0, 5, 1 << 22).astype(np.uint8), 5)
+    peak = _peak_bytes(is_a_primitive, w)
+    assert peak < 2 * 2**20, peak
+
+
+def test_decider_builds_no_cut_list_for_dense_cuts():
+    # n = 2·999983 has 999985 cuts: the prefix sums answer, and no
+    # per-cut structure is built
+    w = Word(np.random.default_rng(6).integers(0, 2, 2 * 999_983).astype(np.uint8), 2)
+    peak = _peak_bytes(is_a_primitive, w)
     assert peak < 16 * 2**20, peak
