@@ -20,7 +20,7 @@ from math import prod
 import numpy as np
 
 from .counting import DEFAULT_BUDGET
-from .numtheory import is_prime, multiples_closure
+from .numtheory import is_prime, middle_antichain
 from .parikh import Word
 
 FAMILIES = ("mword", "multiroot", "antichain")
@@ -128,17 +128,17 @@ def antichain_word(n: int) -> Word:
     With t_1 < ... < t_m the sorted multiples closure of the middle
     antichain, the word is a^(t_1) b^(t_1) followed by a^(t_i - t_(i-1))
     b^(t_i - t_(i-1)) for each later t_i. The Parikh vector is (n, n).
+    The closure is marked in a boolean array over 0..n, so the word is
+    built in O(n) numpy work.
     """
     if n < 2:
         raise ValueError(f"antichain_word requires n >= 2, got {n}")
-    parts = []
-    prev = 0
-    for t in multiples_closure(n):
-        gap = t - prev
-        parts.append(np.zeros(gap, dtype=np.uint8))
-        parts.append(np.ones(gap, dtype=np.uint8))
-        prev = t
-    return Word(np.concatenate(parts), 2)
+    marked = np.zeros(n + 1, dtype=bool)
+    for d in middle_antichain(n):
+        marked[d::d] = True
+    gaps = np.diff(np.flatnonzero(marked), prepend=0)
+    runs = np.tile(np.array([0, 1], dtype=np.uint8), gaps.size)
+    return Word(np.repeat(runs, np.repeat(gaps, 2)), 2)
 
 
 def is_in_M(w: Word) -> bool:

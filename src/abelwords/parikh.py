@@ -81,12 +81,14 @@ class Word:
     def from_text(cls, text: str, alphabet_size: int | None = None) -> "Word":
         """Parse a word over a..z; k defaults to the largest letter present."""
         raw = text.encode("ascii", errors="strict")
+        # uint8 subtraction wraps: bytes below "a" land above 25 as well
         arr = np.frombuffer(raw, dtype=np.uint8) - ord("a")
-        if arr.size and (arr.min() < 0 or arr.max() > 25):
+        top = int(arr.max()) if arr.size else 0
+        if top > 25:
             raise ValueError("textual words must use letters a..z")
-        if alphabet_size is None:
-            alphabet_size = int(arr.max()) + 1 if arr.size else 1
-        return cls(arr, alphabet_size)
+        # no caller holds this new array: frozen, the word keeps it uncopied
+        arr.setflags(write=False)
+        return cls(arr, top + 1 if alphabet_size is None else alphabet_size)
 
     def to_text(self) -> str:
         if self.alphabet_size > 26:

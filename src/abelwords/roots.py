@@ -3,18 +3,21 @@
 A-roots are prefixes by definition: the root of an Abelian-power
 decomposition is its first block. The profile lists every proper
 divisor of |w| whose blocks share a Parikh vector, and the subset whose
-prefix is itself A-primitive. Distinct A-primitive root lengths are
-always division-free: if d divided d', the d'-prefix would have an
-A-root of length d and could not be A-primitive.
+prefix is itself A-primitive. A root of length d lifts to every multiple
+of d dividing |w|, so the profile walks the divisor lattice top down and
+skips d once some upper cover d·p is no root. A root that a smaller
+root divides is not A-primitive (its prefix has that root), so only the
+minimal roots get a prefix decision, and distinct A-primitive root
+lengths are always division-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numtheory import divisors
+from .numtheory import divisors, factorize
 from .parikh import Word, _BlockSums
-from .primitivity import _maximal_root
+from .primitivity import _maximal_root, is_a_primitive
 
 
 @dataclass(frozen=True)
@@ -25,17 +28,29 @@ class RootProfile:
 
 
 def root_profile(w: Word) -> RootProfile:
-    """Scan all proper divisors of |w| (not only maximal ones).
+    """Test the proper divisors d of |w| in descending order, each only
+    when every upper cover d·p (p prime) is |w| or an A-root; then decide
+    the prefixes of the roots that no smaller root divides.
 
-    The root tests and the A-primitivity of each root prefix all run on
-    one set of block sums over w.
+    A word the decider finds A-primitive gets the empty profile without
+    dense block sums; otherwise one set of them serves every test.
     """
     n = len(w)
     if n < 2:
         raise ValueError("root profiles need |w| >= 2: an Abelian power has at least 2 blocks")
+    if is_a_primitive(w).is_a_primitive:
+        return RootProfile(n, (), ())
     sums = _BlockSums(w)
-    roots = [d for d in divisors(n)[:-1] if sums.blocks_agree(n, d)]
-    prim = [d for d in roots if _maximal_root(sums, d) is None]
+    primes = factorize(n).primes
+    found = {n}
+    for d in reversed(divisors(n)[:-1]):
+        if all(d * p in found for p in primes if n % (d * p) == 0) and sums.blocks_agree(n, d):
+            found.add(d)
+    roots = sorted(found - {n})
+    # no smaller root divides d exactly when no lower cover d/p is a root
+    prim = [d for d in roots
+            if all(d // p not in found for p in primes if d % p == 0)
+            and _maximal_root(sums, d) is None]
     return RootProfile(n, tuple(roots), tuple(prim))
 
 

@@ -18,6 +18,7 @@ from abelwords import (
     is_in_M,
     m_word,
     middle_antichain,
+    multiples_closure,
     multiroot_word,
     parikh,
     root_profile,
@@ -114,6 +115,15 @@ def test_antichain_word_has_predicted_roots():
 
 def test_antichain_word_30_exact():
     assert antichain_word(30).to_text() == Z30
+
+
+def test_antichain_word_matches_closure_runs():
+    # a^g b^g for each gap g between consecutive elements of the closure
+    for n in range(2, 301):
+        closure = multiples_closure(n)
+        gaps = [t - s for s, t in zip([0] + closure, closure)]
+        expected = "".join("a" * g + "b" * g for g in gaps)
+        assert antichain_word(n).to_text() == expected, n
 
 
 def test_construction_spec_dispatch():

@@ -50,6 +50,13 @@ def test_rejects_letters_outside_alphabet():
         Word.from_text("ab", alphabet_size=1)
 
 
+def test_from_text_rejects_non_letters():
+    # below "a" ("A", "`", " ") and above "z" ("{")
+    for s in ("abA", "ab{", "ab`", "a b"):
+        with pytest.raises(ValueError):
+            Word.from_text(s)
+
+
 def test_rejects_bad_shapes_and_dtypes():
     with pytest.raises(ValueError):
         Word(np.zeros((2, 2), dtype=np.uint8), 2)

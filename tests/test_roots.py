@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,13 +10,20 @@ from abelwords import (
     Word,
     a_primitive_roots,
     count_distinct_a_primitive_roots,
+    factorize,
     is_a_primitive_linear,
     is_division_free,
     middle_antichain,
     multiroot_word,
     root_profile,
 )
-from conftest import ref_a_primitive, ref_a_root_lengths, sweep_violations
+from abelwords.parikh import _BlockSums
+from conftest import (
+    ref_a_primitive,
+    ref_a_root_lengths,
+    sweep_root_profiles,
+    sweep_violations,
+)
 
 
 def test_profile_of_known_words():
@@ -111,3 +120,62 @@ def test_count_never_exceeds_middle_layer():
         assert count_distinct_a_primitive_roots(w) <= len(
             middle_antichain(len(w))
         )
+
+
+@pytest.mark.parametrize("k, top", [(2, 12), (3, 8)])
+def test_profile_matches_exhaustive_sweep(k, top):
+    # every word of length 2..top, against the independent sweep's masks
+    for n in range(2, top + 1):
+        words = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.uint8)
+        divs = [d for d in range(1, n) if n % d == 0]
+        for lo, roots, prim_roots in sweep_root_profiles(k, n):
+            for j in range(roots[1].size):
+                p = root_profile(Word(words[lo + j], k))
+                s = words[lo + j].tolist()
+                assert p.a_root_lengths == tuple(d for d in divs if roots[d][j]), s
+                assert p.a_primitive_root_lengths == tuple(
+                    d for d in divs if prim_roots[d][j]
+                ), s
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Counts block tests and dense builds of `_BlockSums`."""
+    calls = {"tests": 0, "dense": 0}
+    agree, init = _BlockSums.blocks_agree, _BlockSums.__init__
+
+    def counted_agree(self, m, d):
+        calls["tests"] += 1
+        return agree(self, m, d)
+
+    def counted_init(self, w, lengths=None):
+        init(self, w, lengths)
+        calls["dense"] += self.rows is None
+
+    monkeypatch.setattr(_BlockSums, "blocks_agree", counted_agree)
+    monkeypatch.setattr(_BlockSums, "__init__", counted_init)
+    return calls
+
+
+@pytest.mark.parametrize("k, n", [(3, 720_720), (4, 6_291_456)])
+def test_a_primitive_word_needs_only_the_decider(engine_calls, k, n):
+    # a random word of either length is A-primitive; the k=4 one has
+    # packed counts wider than 64 bits, where dense tests sort blocks
+    w = Word(np.random.default_rng([k, n]).integers(0, k, n, dtype=np.uint8), k)
+    p = root_profile(w)
+    assert (p.a_root_lengths, p.a_primitive_root_lengths) == ((), ())
+    assert engine_calls["tests"] <= len(factorize(n).primes)
+    assert engine_calls["dense"] == 0
+
+
+def test_power_of_a_block_tests_few_divisors(engine_calls):
+    n = 360_360
+    block = np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8)  # aaab, babb: A-primitive
+    rng = np.random.default_rng(8)
+    w = Word(np.concatenate([block] + [rng.permutation(block) for _ in range(n // 8 - 1)]), 2)
+    p = root_profile(w)
+    assert p.a_root_lengths == tuple(d for d in range(8, n, 8) if n % d == 0)
+    assert p.a_primitive_root_lengths == (8,)
+    # 191 proper divisors, 47 of them roots: the decider tests n/2 and
+    # n/3, the walk the roots and n/2, and only the 8-prefix is decided
+    assert engine_calls["tests"] < 60
