@@ -1,23 +1,27 @@
 """Command-line surface over the library.
 
-Exit codes are a stable contract: 0 positive verdict, 1 negative
-verdict, 2 usage error, 3 over budget (a count's cost or a constructed
-word's length). TSV and JSON renderings are deterministic byte-for-byte;
-JSON is emitted with no trailing whitespace (not even a final newline)
-so that parsing and re-rendering round-trips exactly.
+Each command returns its exit code, a JSON payload and a function that
+renders its text, called only for the text formats (int -> str on a
+prime row of 10^6 letters takes seconds). `main` alone writes stdout,
+once, after the command has succeeded: a failing command leaves stdout
+empty. JSON has no trailing newline, so that it round-trips exactly;
+text and TSV end in one. Every rendering is deterministic, with integers
+in full. Exit codes: 0 positive verdict, 1 negative verdict, 2 usage
+error, 3 over budget (a count's cost or a constructed word's length).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
 import time
 
 from .constructions import ConstructionBudgetError, ConstructionSpec, FAMILIES
-from .counting import CountTable, EnumerationBudgetError, count_table, psi, psi_a
+from .counting import CountRow, EnumerationBudgetError, count_table, psi, psi_a
 from .parikh import Word
 from .primitivity import is_a_primitive, is_a_primitive_linear, is_a_primitive_oracle
 from .relations import commute_check
@@ -29,18 +33,12 @@ _ALGORITHMS = {
     "linear": is_a_primitive_linear,
 }
 
-_TSV_HEADER = "n\tpsi\tpsi_a\tdelta"
 
-
-def _read_word_text(arg: str) -> str:
+def _parse_word(arg: str, k: int | None) -> Word:
     text = sys.stdin.read().rstrip("\n") if arg == "-" else arg
     if not text:
         raise ValueError("word must be nonempty")
-    return text
-
-
-def _parse_word(arg: str, k: int | None) -> Word:
-    w = Word.from_text(_read_word_text(arg))
+    w = Word.from_text(text)
     if k is not None:
         if not 1 <= k <= 26:
             raise ValueError("--k must be between 1 and 26")
@@ -62,85 +60,85 @@ def _budget_from_env() -> int | None:
         raise ValueError(f"ABELWORDS_BUDGET must be an integer, got {raw!r}")
 
 
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj))
-
-
-def cmd_check(args) -> int:
+def cmd_check(args):
     w = _parse_word(args.word, args.k)
     decide = _ALGORITHMS[args.algorithm]
     start = time.perf_counter()
     verdict = decide(w)
     elapsed = time.perf_counter() - start
-    if args.format == "json":
-        _emit_json(
-            {"verdict": verdict.is_a_primitive, "witness": verdict.witness_root_length}
-        )
+    if verdict.is_a_primitive:
+        headline = "A-primitive"
     else:
-        if verdict.is_a_primitive:
-            print("A-primitive")
-        else:
-            print(f"not A-primitive: A-root of length {verdict.witness_root_length}")
-        print(
-            f"length {len(w)}, alphabet {w.alphabet_size}, "
-            f"algorithm {args.algorithm}, {elapsed:.6f} s"
-        )
-    return 0 if verdict.is_a_primitive else 1
-
-
-def cmd_roots(args) -> int:
-    w = _parse_word(args.word, args.k)
-    profile = root_profile(w)
-    if args.format == "json":
-        _emit_json(
-            {
-                "word_length": profile.word_length,
-                "a_root_lengths": list(profile.a_root_lengths),
-                "a_primitive_root_lengths": list(profile.a_primitive_root_lengths),
-            }
-        )
-        return 0
-    if not profile.a_root_lengths:
-        print("word is A-primitive; no proper A-roots")
-        return 0
-    print(f"word length {profile.word_length}")
-    print("A-root lengths: " + " ".join(map(str, profile.a_root_lengths)))
-    print(
-        "A-primitive root lengths: "
-        + (" ".join(map(str, profile.a_primitive_root_lengths)) or "(none)")
+        headline = f"not A-primitive: A-root of length {verdict.witness_root_length}"
+    payload = {"verdict": verdict.is_a_primitive, "witness": verdict.witness_root_length}
+    return (0 if verdict.is_a_primitive else 1), payload, lambda: (
+        f"{headline}\nlength {len(w)}, alphabet {w.alphabet_size}, "
+        f"algorithm {args.algorithm}, {elapsed:.6f} s\n"
     )
-    return 0
 
 
-def cmd_construct(args) -> int:
-    spec = ConstructionSpec(args.family, args.parameter)
-    print(spec.build(budget=_budget_from_env()).to_text())
-    return 0
+def cmd_roots(args):
+    profile = root_profile(_parse_word(args.word, args.k))
+
+    def text():
+        if not profile.a_root_lengths:
+            return "word is A-primitive; no proper A-roots\n"
+        roots = " ".join(map(str, profile.a_root_lengths))
+        primitive = " ".join(map(str, profile.a_primitive_root_lengths)) or "(none)"
+        return (
+            f"word length {profile.word_length}\n"
+            f"A-root lengths: {roots}\n"
+            f"A-primitive root lengths: {primitive}\n"
+        )
+
+    return 0, dataclasses.asdict(profile), text
 
 
-def cmd_relate(args) -> int:
+def cmd_construct(args):
+    word = ConstructionSpec(args.family, args.parameter).build(budget=_budget_from_env())
+    return 0, None, lambda: word.to_text() + "\n"
+
+
+def cmd_relate(args):
     u = _parse_word(args.u, args.k)
     x = _parse_word(args.x, args.k)
     wit = commute_check(u, x, args.n)
-    if args.format == "json":
-        payload = None
-        if wit is not None:
-            payload = {
-                "r": wit.r,
-                "s": wit.s,
-                "alphas": [a.to_text() for a in wit.alphas],
-                "betas": [b.to_text() for b in wit.betas],
-            }
-        _emit_json({"verdict": wit is not None, "witness": payload})
-        return 0 if wit is not None else 1
     if wit is None:
-        print(f"do not commute under ~_{args.n}")
-        return 1
-    print(f"commute under ~_{args.n}")
-    for i, (a, b) in enumerate(zip(wit.alphas, wit.betas), start=1):
-        print(f'  i={i}  alpha="{a.to_text()}"  beta="{b.to_text()}"')
-    print(f"  r={wit.r} s={wit.s}")
-    return 0
+        payload = {"verdict": False, "witness": None}
+        return 1, payload, lambda: f"do not commute under ~_{args.n}\n"
+    alphas = [a.to_text() for a in wit.alphas]
+    betas = [b.to_text() for b in wit.betas]
+    witness = {"r": wit.r, "s": wit.s, "alphas": alphas, "betas": betas}
+    return 0, {"verdict": True, "witness": witness}, lambda: (
+        f"commute under ~_{args.n}\n"
+        + "".join(
+            f'  i={i}  alpha="{a}"  beta="{b}"\n'
+            for i, (a, b) in enumerate(zip(alphas, betas), start=1)
+        )
+        + f"  r={wit.r} s={wit.s}\n"
+    )
+
+
+def _count_rows(rows):
+    """The JSON payload and the TSV text of count rows, for count and table."""
+    payload = [dataclasses.asdict(r) for r in rows]
+    return payload, lambda: "n\tpsi\tpsi_a\tdelta\n" + "".join(
+        f"{r.n}\t{r.psi}\t{r.psi_a}\t{r.delta}\n" for r in rows
+    )
+
+
+def cmd_count(args):
+    part = psi_a(args.k, args.n, budget=_budget_from_env())
+    full = psi(args.k, args.n)
+    (payload,), text = _count_rows([CountRow(args.n, full, part, full - part)])
+    return 0, payload, text
+
+
+def cmd_table(args):
+    table = count_table(args.k, args.max_n, budget=_budget_from_env())
+    for n in table.skipped:
+        print(f"note: skipped n={n}, counting over budget", file=sys.stderr)
+    return (0, *_count_rows(table.rows))
 
 
 @contextlib.contextmanager
@@ -154,41 +152,6 @@ def _unlimited_int_digits():
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-
-
-def _table_rows_tsv(table: CountTable) -> str:
-    lines = [_TSV_HEADER]
-    lines.extend(f"{r.n}\t{r.psi}\t{r.psi_a}\t{r.delta}" for r in table.rows)
-    return "".join(line + "\n" for line in lines)
-
-
-@_unlimited_int_digits()
-def cmd_count(args) -> int:
-    part = psi_a(args.k, args.n, budget=_budget_from_env())
-    full = psi(args.k, args.n)
-    if args.format == "json":
-        _emit_json({"n": args.n, "psi": full, "psi_a": part, "delta": full - part})
-    else:
-        sys.stdout.write(_TSV_HEADER + "\n")
-        sys.stdout.write(f"{args.n}\t{full}\t{part}\t{full - part}\n")
-    return 0
-
-
-@_unlimited_int_digits()
-def cmd_table(args) -> int:
-    table = count_table(args.k, args.max_n, budget=_budget_from_env())
-    for n in table.skipped:
-        print(f"note: skipped n={n}, counting over budget", file=sys.stderr)
-    if args.format == "json":
-        _emit_json(
-            [
-                {"n": r.n, "psi": r.psi, "psi_a": r.psi_a, "delta": r.delta}
-                for r in table.rows
-            ]
-        )
-    else:
-        sys.stdout.write(_table_rows_tsv(table))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit a word from a named family")
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("parameter", type=int)
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, format="text")
 
     p = sub.add_parser("relate", help="test ux ~_n xu and print the witness")
     p.add_argument("u")
@@ -245,13 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (EnumerationBudgetError, ConstructionBudgetError) as exc:
+        with _unlimited_int_digits():
+            code, payload, text = args.func(args)
+            out = json.dumps(payload) if args.format == "json" else text()
+    except (EnumerationBudgetError, ConstructionBudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 3
+    sys.stdout.write(out)
+    return code
 
 
 def entrypoint() -> None:

@@ -51,46 +51,32 @@ def psi(k: int, n: int) -> int:
     return sum(mobius(d) * k ** (n // d) for d in divisors(n))
 
 
-def _prime_sets(n: int):
-    """Every nonempty set of distinct primes dividing n, as a tuple."""
+def _inclusion_exclusion(n: int):
+    """(sign, n/L, S) for every nonempty set S of primes dividing n, L = prod(S).
+
+    The sign is (-1)^(|S|+1). The multiples of L/p for p in S cut [0, L]
+    into sum(S) - |S| + 1 segments, because any two of them share only
+    the points 0 and L; their lengths are listed only when the term is
+    evaluated, since a budget refusal must not pay for them.
+    """
     primes = factorize(n).primes
     for size in range(1, len(primes) + 1):
-        yield from combinations(primes, size)
+        for s in combinations(primes, size):
+            yield (-1) ** (size + 1), n // math.prod(s), s
 
 
-def _check_budget(k: int, n: int, budget) -> None:
-    """Refuse before any term is evaluated when the sum would cost too much.
-
-    For a prime set S with product L, the sum runs over the C(n/L+k-1, k-1)
-    Parikh vectors with entries divisible by L, and each contributes one
-    multinomial factor per segment: the multiples of L/p for p in S cut
-    [0, L] into sum(S) - |S| + 1 segments, because any two of them share
-    only the point L. The cost is the total factor count times n.
-    """
-    limit = DEFAULT_BUDGET if budget is None else int(budget)
-    cost = n * sum(
-        math.comb(n // math.prod(s) + k - 1, k - 1) * (sum(s) - len(s) + 1)
-        for s in _prime_sets(n)
-    )
-    if cost > limit:
-        raise EnumerationBudgetError(
-            f"counting A-primitive words over {k} letters at n={n} costs {cost} "
-            f"(multinomial factors times n), over the budget of {limit}"
-        )
-
-
-def _words_with_roots(k: int, n: int, primes) -> int:
-    """Words of length n with an A-root of length n/p for every p in primes.
+def _words_with_roots(k: int, unit: int, primes) -> int:
+    """Words of length n = unit·L with an A-root of length n/p for every p
+    in primes, L the product of the primes.
 
     Such a word with Parikh vector V has prefix Parikh vector t*V/n at
     every multiple t of each n/p, so V is L times a vector u summing to
-    n/L (L the product of the primes), and a segment of g*(n/L) letters
-    between consecutive cuts has Parikh vector g*u. The count is the sum
-    over u of the product of the segments' multinomials; equal-length
-    segments share one multinomial raised to their number.
+    unit, and a segment of g*unit letters between consecutive cuts has
+    Parikh vector g*u. The count is the sum over u of the product of the
+    segments' multinomials; equal-length segments share one multinomial
+    raised to their number.
     """
     lcm = math.prod(primes)
-    unit = n // lcm
     cuts = sorted({t * (lcm // p) for p in primes for t in range(p + 1)})
     gaps = Counter(b - a for a, b in zip(cuts, cuts[1:]))
     total = 0
@@ -106,19 +92,28 @@ def psi_a(k: int, n: int, *, budget: int | None = None) -> int:
     """Number of A-primitive length-n words over k letters.
 
     n = 1 and prime n use the identity psi_a = psi at any size. Otherwise
-    the Abelian powers are counted by inclusion-exclusion over the sets of
-    maximal divisors n/p, after a budget check on the cost of the sum
-    (EnumerationBudgetError when it is over).
+    the Abelian powers are counted by inclusion-exclusion over the sets S
+    of maximal divisors n/p. Each set sums over the C(n/L+k-1, k-1) Parikh
+    vectors with entries divisible by L = prod(S), with one multinomial
+    factor per segment; before any term is evaluated, the total factor
+    count times n is checked against the budget (EnumerationBudgetError
+    when it is over).
     """
     if k < 1 or n < 1:
         raise ValueError("psi_a requires k >= 1 and n >= 1")
     if n == 1 or is_prime(n):
         return psi(k, n)
-    _check_budget(k, n, budget)
-    powers = sum(
-        (-1) ** (len(s) + 1) * _words_with_roots(k, n, s) for s in _prime_sets(n)
+    terms = list(_inclusion_exclusion(n))
+    limit = DEFAULT_BUDGET if budget is None else int(budget)
+    cost = n * sum(
+        math.comb(unit + k - 1, k - 1) * (sum(s) - len(s) + 1) for _, unit, s in terms
     )
-    return k ** n - powers
+    if cost > limit:
+        raise EnumerationBudgetError(
+            f"counting A-primitive words over {k} letters at n={n} costs {cost} "
+            f"(multinomial factors times n), over the budget of {limit}"
+        )
+    return k ** n - sum(sign * _words_with_roots(k, unit, s) for sign, unit, s in terms)
 
 
 def delta(k: int, n: int, *, budget: int | None = None) -> int:

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -269,6 +270,86 @@ def test_table_json(cli):
         {"n": 3, "psi": 6, "psi_a": 6, "delta": 0},
         {"n": 4, "psi": 12, "psi_a": 10, "delta": 2},
     ]
+
+
+# ----------------------------------------------------------- golden bytes
+
+_CHECK_TAIL = "algorithm linear, <s> s\n"  # the seconds are masked
+_TABLE_K2_N8_JSON = (
+    '[{"n": 1, "psi": 2, "psi_a": 2, "delta": 0}, '
+    '{"n": 2, "psi": 2, "psi_a": 2, "delta": 0}, '
+    '{"n": 3, "psi": 6, "psi_a": 6, "delta": 0}, '
+    '{"n": 4, "psi": 12, "psi_a": 10, "delta": 2}, '
+    '{"n": 5, "psi": 30, "psi_a": 30, "delta": 0}, '
+    '{"n": 7, "psi": 126, "psi_a": 126, "delta": 0}]'
+)
+
+# argv, stdin, ABELWORDS_BUDGET, exit code, whole stdout
+GOLDEN_RUNS = [
+    (["check", "aabbab"], None, None, 0,
+     "A-primitive\nlength 6, alphabet 2, " + _CHECK_TAIL),
+    (["check", "aabbaabb"], None, None, 1,
+     "not A-primitive: A-root of length 4\nlength 8, alphabet 2, " + _CHECK_TAIL),
+    (["check", "aabbab", "--format", "json"], None, None, 0,
+     '{"verdict": true, "witness": null}'),
+    (["check", "abab", "--format", "json"], None, None, 1,
+     '{"verdict": false, "witness": 2}'),
+    (["check", "-"], "aabbab\n", None, 0,
+     "A-primitive\nlength 6, alphabet 2, " + _CHECK_TAIL),
+    (["check", "ab", "--k", "3"], None, None, 0,
+     "A-primitive\nlength 2, alphabet 3, " + _CHECK_TAIL),
+    (["check", "abc", "--k", "2"], None, None, 2, ""),
+    (["check"], None, None, 2, ""),
+    (["roots", "aabbabababab"], None, None, 0,
+     "word length 12\nA-root lengths: 4 6\nA-primitive root lengths: 4 6\n"),
+    (["roots", "ababaabb"], None, None, 0,
+     "word length 8\nA-root lengths: 4\nA-primitive root lengths: (none)\n"),
+    (["roots", "aabbab"], None, None, 0, "word is A-primitive; no proper A-roots\n"),
+    (["roots", "aabbabababab", "--format", "json"], None, None, 0,
+     '{"word_length": 12, "a_root_lengths": [4, 6], "a_primitive_root_lengths": [4, 6]}'),
+    (["roots", "-", "--k", "3", "--format", "json"], "aabbabababab\n", None, 0,
+     '{"word_length": 12, "a_root_lengths": [4, 6], "a_primitive_root_lengths": [4, 6]}'),
+    (["construct", "mword", "5"], None, None, 0, "aabbababab\n"),
+    (["construct", "multiroot", "12"], None, None, 3, ""),
+    (["construct", "mword", "6"], None, None, 2, ""),
+    (["relate", "cbabc", "abca", "--n", "3"], None, None, 0,
+     'commute under ~_3\n  i=1  alpha="cb"  beta="a"\n  i=2  alpha="bc"  beta="a"\n'
+     '  i=3  alpha="bc"  beta="a"\n  r=3 s=2\n'),
+    (["relate", "baa", "a", "--n", "2"], None, None, 1, "do not commute under ~_2\n"),
+    (["relate", "cbabc", "abca", "--n", "3", "--format", "json"], None, None, 0,
+     '{"verdict": true, "witness": {"r": 3, "s": 2, '
+     '"alphas": ["cb", "bc", "bc"], "betas": ["a", "a", "a"]}}'),
+    (["relate", "baa", "a", "--n", "2", "--format", "json"], None, None, 1,
+     '{"verdict": false, "witness": null}'),
+    (["relate", "ab", "ba", "--n", "2", "--k", "3", "--format", "json"], None, None, 0,
+     '{"verdict": true, "witness": {"r": 2, "s": 2, "alphas": ["", ""], "betas": ["ab", "ba"]}}'),
+    (["count", "--k", "2", "--n", "6"], None, None, 0, "n\tpsi\tpsi_a\tdelta\n6\t54\t36\t18\n"),
+    (["count", "--k", "3", "--n", "9", "--format", "json"], None, None, 0,
+     '{"n": 9, "psi": 19656, "psi_a": 19302, "delta": 354}'),
+    (["count", "--k", "2", "--n", "12"], None, "100", 3, ""),
+    (["count", "--k", "2", "--n", "6"], None, "plenty", 2, ""),
+    (["table", "--k", "2", "--max-n", "8"], None, "50", 0,
+     "n\tpsi\tpsi_a\tdelta\n1\t2\t2\t0\n2\t2\t2\t0\n3\t6\t6\t0\n4\t12\t10\t2\n"
+     "5\t30\t30\t0\n7\t126\t126\t0\n"),
+    (["table", "--k", "2", "--max-n", "8", "--format", "json"], None, "50", 0,
+     _TABLE_K2_N8_JSON),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, budget, code, out",
+    GOLDEN_RUNS,
+    ids=[" ".join(run[0]) + (f" budget={run[2]}" if run[2] else "") for run in GOLDEN_RUNS],
+)
+def test_cli_golden_bytes(cli, monkeypatch, argv, stdin_text, budget, code, out):
+    # a failing command leaves stdout empty: output is written only on success
+    if budget is None:
+        monkeypatch.delenv("ABELWORDS_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("ABELWORDS_BUDGET", budget)
+    got_code, got_out, _ = cli(argv, stdin_text)
+    got_out = re.sub(r"\d+\.\d{6} s$", "<s> s", got_out, flags=re.M)
+    assert (got_code, got_out) == (code, out)
 
 
 # ------------------------------------------------------------- usage/misc
