@@ -4,14 +4,21 @@ A word stores its letters as a numpy array of symbol indices so that
 counting stays cheap on multi-megabyte inputs. Parikh vectors are plain
 tuples of per-letter counts. The central primitive is the block test:
 do all length-d blocks of a word's length-m prefix share one Parikh
-vector? Every A-root test in the package asks it of `_BlockSums`.
+vector? It is answered in one of three ways, by what the caller asks.
 
-The length-d blocks of w agree exactly when the prefix Parikh vectors
-at the cuts d, 2d, ..., |w| step by one vector, so a caller that names
-the block lengths it will test needs those vectors at the cuts only:
-at most sum(p) of them for the maximal divisors |w|/p. `_BlockSums`
-counts the letters between consecutive cuts when the cuts are few,
-and builds a prefix sum at every letter when they are not.
+- One length d (`has_a_root_of_length`, hence the oracle and the
+  relations layer): `_blocks_agree` views the letters as an (m/d, d)
+  table and counts each letter in every row in one vectorized pass,
+  stopping at the first letter whose counts differ.
+- The maximal divisors |w|/p (the decider): the length-d blocks agree
+  exactly when the prefix Parikh vectors at the cuts d, 2d, ..., |w|
+  step by one vector, so `_BlockSums` built for those lengths counts the
+  letters between consecutive cuts when the cuts, at most sum(p) of
+  them, are few.
+- Every divisor of every prefix (`root_profile`, and the decider when
+  the cuts are many): `_BlockSums` packs prefix sums at every letter
+  once, and each test reads them at the cuts; past 64 packed bits it
+  runs `_blocks_agree` on the prefix instead.
 """
 
 from __future__ import annotations
@@ -104,7 +111,10 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         k = max(self.alphabet_size, other.alphabet_size)
-        return Word(np.concatenate([self.letters, other.letters]), k)
+        arr = np.concatenate([self.letters, other.letters])
+        # no caller holds this new array: frozen, the word keeps it uncopied
+        arr.setflags(write=False)
+        return Word(arr, k)
 
 
 def parikh(w: Word) -> ParikhVector:
@@ -165,6 +175,48 @@ def _segment_counts(segment: np.ndarray, k: int):
     return counts[:k]
 
 
+# below this block length, adding up the columns of the block table beats
+# a row reduction, which costs about 20 ns per row (measured crossover)
+_SHORT_ROW = 24
+
+
+def _blocks_agree(letters: np.ndarray, d: int, k: int) -> bool:
+    """Do all length-d blocks of `letters` share one Parikh vector over
+    k letters? d must divide letters.size.
+
+    Blocks of at least _CHUNK letters are few, and counted one by one; wider
+    alphabets than _NARROW compare sorted blocks. Otherwise the letters
+    form an (m/d, d) table and each letter c >= 1 is counted in every row
+    at once (letter 0 follows from d), stopping at the first letter whose
+    counts differ: O(m) time, and about one byte per letter of scratch.
+    """
+    if d == 1:
+        # one pass with no scratch: blocks of one letter agree when all letters do
+        return bool(letters.min() == letters.max())
+    if d >= _CHUNK:
+        first = _segment_counts(letters[:d], k)
+        return all(_segment_counts(letters[lo : lo + d], k) == first
+                   for lo in range(d, letters.size, d))
+    if k > _NARROW:
+        # the narrowest dtype: 8- and 16-bit letters sort by radix in O(m)
+        blocks = _sorted_blocks(letters.astype(np.min_scalar_type(k - 1), copy=False), d)
+        return bool((blocks[1:] == blocks[0]).all())
+    table = letters.reshape(-1, d)
+    dtype = np.min_scalar_type(d)
+    for c in range(1, k):
+        # a binary table holds the letter-1 indicators itself
+        hits = table if k == 2 else table == c
+        if d < _SHORT_ROW:
+            counts = hits[:, 0].astype(dtype)
+            for j in range(1, d):
+                counts += hits[:, j]
+        else:
+            counts = hits.sum(axis=1, dtype=dtype)
+        if counts.min() != counts.max():
+            return False
+    return True
+
+
 class _BlockSums:
     """Exact block tests on the prefixes of one word, built once per word.
 
@@ -182,14 +234,16 @@ class _BlockSums:
     2^(b*(c-1)), so a block of at most n/2 letters packs its counts into
     disjoint b-bit fields, a difference of prefix sums is its Parikh
     vector, exact even when the sums wrap, and a test costs O(m/d).
-    Wider alphabets sort the blocks instead, in O(m) memory whatever k is.
+    Past 64 bits each test runs `_blocks_agree` on the length-m prefix,
+    in O(m) time and memory whatever k is.
     """
 
-    __slots__ = ("letters", "sums", "rows")
+    __slots__ = ("letters", "k", "sums", "rows")
 
     def __init__(self, w: Word, lengths=None):
         n, k = len(w), w.alphabet_size
-        self.letters = self.sums = self.rows = None
+        self.letters, self.k = w.letters, k
+        self.sums = self.rows = None
         if lengths is not None and sum(n // d for d in lengths) * k * _CUT_COST <= n:
             prefix, counts, start = {}, [0] * k, 0
             for end in sorted({t for d in lengths for t in range(d, n + 1, d)}):
@@ -201,8 +255,6 @@ class _BlockSums:
             return
         bits = (n // 2).bit_length()
         width = (k - 1) * bits
-        # the narrowest dtype: 8- and 16-bit letters sort by radix in O(m)
-        self.letters = w.letters.astype(np.min_scalar_type(k - 1), copy=False)
         if width <= 64:
             dtype = np.uint32 if width <= 32 else np.uint64
             table = np.array([0] + [1 << (bits * (c - 1)) for c in range(1, k)], dtype=dtype)
@@ -216,8 +268,7 @@ class _BlockSums:
         elif self.sums is not None:
             ends = self.sums[d - 1 : m : d]
         else:
-            blocks = _sorted_blocks(self.letters[:m], d)
-            return bool((blocks[1:] == blocks[0]).all())
+            return _blocks_agree(self.letters[:m], d, self.k)
         return bool((ends[1:] - ends[:-1] == ends[0]).all())
 
 
@@ -232,4 +283,4 @@ def has_a_root_of_length(w: Word, d: int) -> bool:
         raise ValueError(f"root length {d} must satisfy 1 <= d <= |w| and d | |w|")
     if d == n:
         return True
-    return _BlockSums(w, (d,)).blocks_agree(n, d)
+    return _blocks_agree(w.letters, d, w.alphabet_size)

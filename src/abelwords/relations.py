@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .parikh import Word, _BlockSums, _sorted_blocks, has_a_root_of_length
-from .primitivity import _maximal_root
+from .parikh import Word, _sorted_blocks, has_a_root_of_length
+from .primitivity import is_a_primitive
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,10 @@ def shared_root_check(u: Word, x: Word, n: int) -> Optional[Word]:
         raise ValueError("shared_root_check requires nonempty words")
     if len(u) % n or len(x) % n:
         raise ValueError(f"block length {n} must divide both |u| and |x|")
-    ux = u + x
-    sums = _BlockSums(ux)
     # n divides |u| and |x|, so ux ~_n xu says exactly that every
     # length-n block of ux, hence of u and of x, shares one Parikh vector
-    if not sums.blocks_agree(len(ux), n):
+    if not has_a_root_of_length(u + x, n):
         raise ValueError("precondition failed: u and x do not commute at this block length")
-    if _maximal_root(sums, n) is not None:
+    if not is_a_primitive(u.prefix(n)).is_a_primitive:
         return None
     return x.prefix(n)

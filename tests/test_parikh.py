@@ -14,6 +14,8 @@ from abelwords import (
     is_a_primitive_linear,
     parikh,
     root_profile,
+    shared_root_check,
+    sim_n,
 )
 from abelwords.parikh import _BlockSums
 from conftest import ref_has_root
@@ -96,6 +98,19 @@ def test_prefix_and_concat():
         w.prefix(7)
     with pytest.raises(ValueError):
         w.prefix(-1)
+
+
+def test_concat_copies_its_letters_once():
+    u, x = (Word(np.zeros(1 << 20, dtype=np.uint8), 2) for _ in range(2))
+    tracemalloc.start()
+    try:
+        ux = u + x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ux) == 2 << 20 and not ux.letters.flags.writeable
+    # the new array is frozen and kept, not copied again
+    assert peak < 3 << 20, peak
 
 
 def test_prefix_carries_alphabet():
@@ -195,12 +210,17 @@ def test_packed_and_sorted_modes_agree():
         divs = [d for d in range(1, n + 1) if n % d == 0]
         for letters in samples:
             packed = _BlockSums(Word(letters, k))
-            # 70 + k letters need more than 64 bits packed at these lengths
+            # 70 + k letters need more than 64 bits packed at these
+            # lengths, and sort blocks; the same letters stored with
+            # k = 16 pass 64 bits from n = 60 on, and count them
             wide = _BlockSums(Word(letters.astype(np.int64), 70 + k))
+            narrow = _BlockSums(Word(letters, 16))
             assert packed.sums is not None and wide.sums is None
+            assert (narrow.sums is None) == (n >= 60)
             for m in divs:
                 for d in (d for d in divs if m % d == 0):
-                    assert packed.blocks_agree(m, d) == wide.blocks_agree(m, d)
+                    agree = packed.blocks_agree(m, d)
+                    assert agree == wide.blocks_agree(m, d) == narrow.blocks_agree(m, d)
 
 
 def _shuffled_power(rng, letters: np.ndarray, d: int) -> np.ndarray:
@@ -305,3 +325,75 @@ def test_decider_builds_no_cut_list_for_dense_cuts():
     w = Word(np.random.default_rng(6).integers(0, 2, 2 * 999_983).astype(np.uint8), 2)
     peak = _peak_bytes(is_a_primitive, w)
     assert peak < 16 * 2**20, peak
+
+
+# --------------------------------------------------- one-length block test
+
+
+def _first_zero_made_top(letters: np.ndarray, block: int, d: int, k: int) -> np.ndarray:
+    """A copy of letters whose given length-d block has its first letter 0
+    turned into letter k-1: only the counts of letters 0 and k-1 change."""
+    out = letters.copy()
+    part = out[block * d : (block + 1) * d]
+    part[np.flatnonzero(part == 0)[0]] = k - 1
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 17, 26])
+def test_one_length_test_matches_reference(k):
+    # d on both sides of every branch: the column sums below 24, the row
+    # sums, sorted blocks past 16 letters, and blocks counted one by one
+    # from 2^16 letters
+    rng = np.random.default_rng(k)
+    for d in (1, 2, 23, 24, 31, 32, 1 << 15, 1 << 16, 3 << 15):
+        n = 3 << 16 if d >= 1 << 15 else 48 * d
+        base = rng.integers(0, k, d).astype(np.uint8)
+        base[0] = 0  # every block of the power has a letter 0 to change
+        power = _shuffled_power(rng, np.tile(base, n // d), d)
+        samples = [rng.integers(0, k, n).astype(np.uint8) for _ in range(2)] + [power]
+        if k > 1:
+            # the last block, or the first, differs in letter k-1 alone
+            samples += [_first_zero_made_top(power, b, d, k) for b in (n // d - 1, 0)]
+        for letters in samples:
+            expected = ref_has_root(letters.tolist(), d)
+            assert has_a_root_of_length(Word(letters, k), d) == expected, (k, d)
+        assert has_a_root_of_length(Word(power, k), d)
+
+
+@pytest.fixture
+def block_sums_built(monkeypatch):
+    """Lengths of the words that `_BlockSums` is built on."""
+    built = []
+    init = _BlockSums.__init__
+
+    def counted_init(self, w, lengths=None):
+        built.append(len(w))
+        init(self, w, lengths)
+
+    monkeypatch.setattr(_BlockSums, "__init__", counted_init)
+    return built
+
+
+def test_one_length_tests_build_no_block_sums(block_sums_built):
+    n = 1000
+    rng = np.random.default_rng(11)
+    power = _shuffled_power(rng, rng.integers(0, 3, 400_000).astype(np.uint8), n)
+    u, x = Word(power[:200_000], 3), Word(power[200_000:], 3)
+    assert has_a_root_of_length(u, n)
+    assert sim_n(u, x, n)
+    assert commute_check(u, x, n) is not None
+    assert block_sums_built == []
+    assert shared_root_check(u, x, n) == x.prefix(n)
+    # the one build left is the decider's, on u's length-n prefix
+    assert set(block_sums_built) <= {n}
+
+
+def test_one_length_test_memory_does_not_grow_per_letter():
+    # prefix sums at every letter take 8 bytes per letter; the block
+    # table about one
+    rng = np.random.default_rng(12)
+    d = 1000
+    w = Word(_shuffled_power(rng, rng.integers(0, 3, 2_000_000).astype(np.uint8), d), 3)
+    assert has_a_root_of_length(w, d)
+    peak = _peak_bytes(has_a_root_of_length, w, d)
+    assert peak < 6 * 2**20, peak
