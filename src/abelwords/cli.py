@@ -7,7 +7,9 @@ once, after the command has succeeded: a failing command leaves stdout
 empty. JSON has no trailing newline, so that it round-trips exactly;
 text and TSV end in one. Every rendering is deterministic, with integers
 in full. Exit codes: 0 positive verdict, 1 negative verdict, 2 usage
-error, 3 over budget (a count's cost or a constructed word's length).
+error, 3 over budget (the size of k**n or the cost of a count, or a
+constructed word's length). numpy is executed at the first `Word`, so
+`count`, `table`, usage errors and refusals start without it.
 """
 
 from __future__ import annotations

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from itertools import islice
 from math import prod
 
-import numpy as np
-
 from .counting import DEFAULT_BUDGET
 from .numtheory import is_prime, middle_antichain
-from .parikh import Word
+from .parikh import Word, _deferred_numpy
+
+np = _deferred_numpy()
 
 FAMILIES = ("mword", "multiroot", "antichain")
 

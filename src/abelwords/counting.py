@@ -5,10 +5,10 @@ A-primitive words by inclusion-exclusion over the maximal divisors n/p:
 a word is an Abelian power exactly when it has an A-root of some length
 n/p, and the words with an A-root at every n/p for p in a set S of primes
 are counted per Parikh vector as a product of multinomials. At n = 1 and
-prime n, psi_a = psi without any sum. An explicit budget on the number
-of multinomial factors guards against runaway runs. delta = psi - psi_a
-is zero at primes and has a closed form at prime powers
-(delta_prime_power), which is the |S| = 1 case of the sum.
+prime n, psi_a = psi without any sum. An explicit budget on the size of
+k**n and on the number of multinomial factors guards against runaway
+runs. delta = psi - psi_a is zero at primes and has a closed form at
+prime powers (delta_prime_power), which is the |S| = 1 case of the sum.
 
 All counts are exact unbounded integers.
 """
@@ -26,7 +26,8 @@ DEFAULT_BUDGET = 1 << 30
 
 
 class EnumerationBudgetError(Exception):
-    """Counting cost (multinomial factors times n) exceeds the budget."""
+    """The size of k**n in 64-bit words, or the counting cost (multinomial
+    factors times n), exceeds the budget."""
 
 
 @dataclass(frozen=True)
@@ -91,20 +92,30 @@ def _words_with_roots(k: int, unit: int, primes) -> int:
 def psi_a(k: int, n: int, *, budget: int | None = None) -> int:
     """Number of A-primitive length-n words over k letters.
 
-    n = 1 and prime n use the identity psi_a = psi at any size. Otherwise
-    the Abelian powers are counted by inclusion-exclusion over the sets S
-    of maximal divisors n/p. Each set sums over the C(n/L+k-1, k-1) Parikh
-    vectors with entries divisible by L = prod(S), with one multinomial
-    factor per segment; before any term is evaluated, the total factor
-    count times n is checked against the budget (EnumerationBudgetError
-    when it is over).
+    First the size of k**n, n letters of bit_length(k-1) bits in 64-bit
+    words, is checked against the budget, before n is tested for
+    primality or factorized. n = 1 and prime n then use the identity
+    psi_a = psi. Otherwise the Abelian powers are counted by
+    inclusion-exclusion over the sets S of maximal divisors n/p. Each set
+    sums over the C(n/L+k-1, k-1) Parikh vectors with entries divisible
+    by L = prod(S), with one multinomial factor per segment; before any
+    term is evaluated, the total factor count times n is checked against
+    the budget. Either check raises EnumerationBudgetError when it is
+    over.
     """
     if k < 1 or n < 1:
         raise ValueError("psi_a requires k >= 1 and n >= 1")
+    limit = DEFAULT_BUDGET if budget is None else int(budget)
+    # k**n < 2**(n*b) for b = bit_length(k-1), the bits of one letter
+    words = -(-n * (k - 1).bit_length() // 64)
+    if words > limit:
+        raise EnumerationBudgetError(
+            f"psi_a over {k} letters at n={n}: k**n takes {words} 64-bit words, "
+            f"over the budget of {limit}"
+        )
     if n == 1 or is_prime(n):
         return psi(k, n)
     terms = list(_inclusion_exclusion(n))
-    limit = DEFAULT_BUDGET if budget is None else int(budget)
     cost = n * sum(
         math.comb(unit + k - 1, k - 1) * (sum(s) - len(s) + 1) for _, unit, s in terms
     )
@@ -118,7 +129,8 @@ def psi_a(k: int, n: int, *, budget: int | None = None) -> int:
 
 def delta(k: int, n: int, *, budget: int | None = None) -> int:
     """psi - psi_a; nonnegative, zero when n is 1 or prime."""
-    return psi(k, n) - psi_a(k, n, budget=budget)
+    part = psi_a(k, n, budget=budget)  # first, so the budget is checked before k**n
+    return psi(k, n) - part
 
 
 def _compositions(total: int, parts: int):

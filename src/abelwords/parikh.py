@@ -19,11 +19,38 @@ vector? It is answered in one of three ways, by what the caller asks.
   the cuts are many): `_BlockSums` packs prefix sums at every letter
   once, and each test reads them at the cuts; past 64 packed bits it
   runs `_blocks_agree` on the prefix instead.
+
+numpy is imported lazily (`_deferred_numpy`): the module is registered
+at import time but executed at its first attribute access, which is the
+first `Word`. The counting layer never touches it, so `abelwords count`
+and `table` start without paying for numpy's import.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import importlib.util
+import sys
+
+
+def _deferred_numpy():
+    """numpy, executed at its first attribute access rather than here.
+
+    A numpy that is already imported is returned as it is. A missing
+    numpy still raises ModuleNotFoundError here, at import time.
+    """
+    if sys.modules.get("numpy") is not None:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _deferred_numpy()
 
 ParikhVector = tuple[int, ...]
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .parikh import Word, _sorted_blocks, has_a_root_of_length
+from .parikh import Word, _deferred_numpy, _sorted_blocks, has_a_root_of_length
 from .primitivity import is_a_primitive
+
+np = _deferred_numpy()
 
 
 @dataclass(frozen=True)

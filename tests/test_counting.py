@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from abelwords import (
@@ -146,6 +148,32 @@ def test_default_budget_answers_every_enumerable_row():
         while k**n * n <= DEFAULT_BUDGET:
             assert 0 <= psi_a(k, n) <= psi(k, n), (k, n)
             n += 1
+
+
+def test_size_of_k_to_the_n_is_checked_before_anything_else(capsys):
+    # k**n in 64-bit words: 2**61 and 5**19 take one, 2**67 and 3**41 two
+    assert psi_a(2, 61, budget=1) == 2**61 - 2
+    assert psi_a(5, 19, budget=1) == 5**19 - 5
+    for k, n in ((2, 67), (3, 41)):
+        with pytest.raises(EnumerationBudgetError, match="2 64-bit words"):
+            psi_a(k, n, budget=1)
+    table = count_table(2, 67, budget=1)
+    assert 61 in [r.n for r in table.rows] and 67 in table.skipped
+    # prime and composite rows far past any budget are refused at once,
+    # before trial division or k**n
+    for n in (10**12 + 39, 10**18 + 3, 10**18, 10**4000):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetError):
+            psi_a(2, n)
+        with pytest.raises(EnumerationBudgetError):
+            delta(2, n)
+        assert time.perf_counter() - start < 1, n
+    for n in ("1000000000039", "1000000000000000003"):
+        start = time.perf_counter()
+        assert main(["count", "--k", "2", "--n", n]) == 3
+        assert time.perf_counter() - start < 1, n
+        out, err = capsys.readouterr()
+        assert out == "" and "budget" in err
 
 
 def test_budget_env_is_not_read_by_library(monkeypatch):
