@@ -49,6 +49,9 @@ def psi(k: int, n: int) -> int:
     """Number of classically primitive length-n words over k letters."""
     if k < 1 or n < 1:
         raise ValueError("psi requires k >= 1 and n >= 1")
+    if k == 1:
+        # the one word a^n is a power for n > 1; n is not factorized
+        return int(n == 1)
     return sum(mobius(d) * k ** (n // d) for d in divisors(n))
 
 
@@ -113,7 +116,7 @@ def psi_a(k: int, n: int, *, budget: int | None = None) -> int:
             f"psi_a over {k} letters at n={n}: k**n takes {words} 64-bit words, "
             f"over the budget of {limit}"
         )
-    if n == 1 or is_prime(n):
+    if k == 1 or n == 1 or is_prime(n):
         return psi(k, n)
     terms = list(_inclusion_exclusion(n))
     cost = n * sum(

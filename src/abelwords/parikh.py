@@ -4,21 +4,22 @@ A word stores its letters as a numpy array of symbol indices so that
 counting stays cheap on multi-megabyte inputs. Parikh vectors are plain
 tuples of per-letter counts. The central primitive is the block test:
 do all length-d blocks of a word's length-m prefix share one Parikh
-vector? It is answered in one of three ways, by what the caller asks.
+vector? Three kernels answer it, each for its own callers.
 
-- One length d (`has_a_root_of_length`, hence the oracle and the
-  relations layer): `_blocks_agree` views the letters as an (m/d, d)
-  table and counts each letter in every row in one vectorized pass,
-  stopping at the first letter whose counts differ.
-- The maximal divisors |w|/p (the decider): the length-d blocks agree
-  exactly when the prefix Parikh vectors at the cuts d, 2d, ..., |w|
-  step by one vector, so `_BlockSums` built for those lengths counts the
-  letters between consecutive cuts when the cuts, at most sum(p) of
-  them, are few.
-- Every divisor of every prefix (`root_profile`, and the decider when
-  the cuts are many): `_BlockSums` packs prefix sums at every letter
-  once, and each test reads them at the cuts; past 64 packed bits it
-  runs `_blocks_agree` on the prefix instead.
+- One length d (`has_a_root_of_length`, hence the oracle, the relations
+  layer and the decider when its cuts are many): `_blocks_agree` views
+  the letters as an (m/d, d) table and counts each letter in every row
+  in one vectorized pass, stopping at the first letter whose counts
+  differ; blocks of at least _CHUNK letters go to the cut counter.
+- The cut counter (the decider when its cuts, sum(p) for the lengths
+  |w|/p, are few): the length-d blocks agree exactly when the prefix
+  Parikh vectors at the cuts d, 2d, ..., |w| step by one vector, so
+  `_cuts_agree` counts the letters once between consecutive cuts and
+  drops each length at its first cut that breaks the step.
+- Every divisor of every prefix (`root_profile` alone): `_BlockSums`
+  packs prefix sums at every letter once, and each test reads them at
+  the cuts; past 64 packed bits it runs `_blocks_agree` on the prefix
+  instead.
 
 numpy is imported lazily (`_deferred_numpy`): the module is registered
 at import time but executed at its first attribute access, which is the
@@ -170,10 +171,6 @@ def _sorted_blocks(letters: np.ndarray, d: int) -> np.ndarray:
     return np.sort(letters.reshape(-1, d), axis=1, kind="stable")
 
 
-# Counting one segment takes about one numpy call per alphabet letter,
-# each worth what a prefix sum spends on this many letters: the block
-# sums count segments when (number of cuts) * k * _CUT_COST <= n.
-_CUT_COST = 512
 # segments are counted in chunks of this many letters, so scratch memory
 # does not grow with the word
 _CHUNK = 1 << 16
@@ -202,6 +199,33 @@ def _segment_counts(segment: np.ndarray, k: int):
     return counts[:k]
 
 
+def _cuts_agree(letters: np.ndarray, lengths, k: int) -> list[int]:
+    """The lengths d, in the given order, whose length-d blocks of
+    `letters` all share one Parikh vector over k letters; each d must
+    divide letters.size.
+
+    The blocks agree exactly when the prefix Parikh vector at each cut
+    t·d is t times the first block's. The letters are counted once,
+    segment by segment between consecutive cuts of the lengths still in
+    play; a length drops at its first cut that breaks the rule, and the
+    count stops once every length has dropped. Time O(letters.size +
+    cuts·k), scratch memory O(_CHUNK + cuts).
+    """
+    live, first, prefix, start = list(lengths), {}, [0] * k, 0
+    for end in sorted({t for d in live for t in range(d, letters.size + 1, d)}):
+        at = [d for d in live if end % d == 0]
+        if not at:
+            continue
+        segment = _segment_counts(letters[start:end], k)
+        prefix, start = [a + b for a, b in zip(prefix, segment)], end
+        for d in at:
+            if prefix != [end // d * c for c in first.setdefault(d, prefix)]:
+                live.remove(d)
+        if not live:
+            break
+    return live
+
+
 # below this block length, adding up the columns of the block table beats
 # a row reduction, which costs about 20 ns per row (measured crossover)
 _SHORT_ROW = 24
@@ -211,19 +235,18 @@ def _blocks_agree(letters: np.ndarray, d: int, k: int) -> bool:
     """Do all length-d blocks of `letters` share one Parikh vector over
     k letters? d must divide letters.size.
 
-    Blocks of at least _CHUNK letters are few, and counted one by one; wider
-    alphabets than _NARROW compare sorted blocks. Otherwise the letters
-    form an (m/d, d) table and each letter c >= 1 is counted in every row
-    at once (letter 0 follows from d), stopping at the first letter whose
-    counts differ: O(m) time, and about one byte per letter of scratch.
+    Blocks of at least _CHUNK letters are few, and `_cuts_agree` counts
+    them in turn; wider alphabets than _NARROW compare sorted blocks.
+    Otherwise the letters form an (m/d, d) table and each letter c >= 1
+    is counted in every row at once (letter 0 follows from d), stopping
+    at the first letter whose counts differ: O(m) time, and about one
+    byte per letter of scratch.
     """
     if d == 1:
         # one pass with no scratch: blocks of one letter agree when all letters do
         return bool(letters.min() == letters.max())
     if d >= _CHUNK:
-        first = _segment_counts(letters[:d], k)
-        return all(_segment_counts(letters[lo : lo + d], k) == first
-                   for lo in range(d, letters.size, d))
+        return bool(_cuts_agree(letters, [d], k))
     if k > _NARROW:
         # the narrowest dtype: 8- and 16-bit letters sort by radix in O(m)
         blocks = _sorted_blocks(letters.astype(np.min_scalar_type(k - 1), copy=False), d)
@@ -245,41 +268,24 @@ def _blocks_agree(letters: np.ndarray, d: int, k: int) -> bool:
 
 
 class _BlockSums:
-    """Exact block tests on the prefixes of one word, built once per word.
+    """Exact block tests on every prefix of one word, built once per word
+    for `root_profile`.
 
     `blocks_agree(m, d)`: do all length-d blocks of the length-m prefix
-    share one Parikh vector (d divides m)? A caller that passes the
-    block `lengths` it will test may get the sparse mode: when the cuts
-    they imply are few, sum(n/d) * k * _CUT_COST <= n, the word is
-    counted once between consecutive cuts, in chunks of _CHUNK letters,
-    and only the prefix Parikh vectors at the cuts are kept, as exact
-    int64 rows. The mode is chosen from sum(n/d) and k before anything is
-    built; in the sparse mode `blocks_agree` accepts only d in `lengths`.
-
-    Otherwise (the dense mode) every prefix is available: with
-    b = bit_length(n//2) and (k-1)*b <= 64, letter c > 0 weighs
-    2^(b*(c-1)), so a block of at most n/2 letters packs its counts into
-    disjoint b-bit fields, a difference of prefix sums is its Parikh
-    vector, exact even when the sums wrap, and a test costs O(m/d).
-    Past 64 bits each test runs `_blocks_agree` on the length-m prefix,
-    in O(m) time and memory whatever k is.
+    share one Parikh vector (d divides m)? With b = bit_length(n//2) and
+    (k-1)*b <= 64, letter c > 0 weighs 2^(b*(c-1)), so a block of at
+    most n/2 letters packs its counts into disjoint b-bit fields, a
+    difference of prefix sums is its Parikh vector, exact even when the
+    sums wrap, and a test costs O(m/d). Past 64 bits each test runs
+    `_blocks_agree` on the length-m prefix, in O(m) time and memory
+    whatever k is.
     """
 
-    __slots__ = ("letters", "k", "sums", "rows")
+    __slots__ = ("letters", "k", "sums")
 
-    def __init__(self, w: Word, lengths=None):
+    def __init__(self, w: Word):
         n, k = len(w), w.alphabet_size
-        self.letters, self.k = w.letters, k
-        self.sums = self.rows = None
-        if lengths is not None and sum(n // d for d in lengths) * k * _CUT_COST <= n:
-            prefix, counts, start = {}, [0] * k, 0
-            for end in sorted({t for d in lengths for t in range(d, n + 1, d)}):
-                segment = _segment_counts(w.letters[start:end], k)
-                prefix[end] = counts = [a + b for a, b in zip(counts, segment)]
-                start = end
-            self.rows = {d: np.array([prefix[t] for t in range(d, n + 1, d)], dtype=np.int64)
-                         for d in lengths}
-            return
+        self.letters, self.k, self.sums = w.letters, k, None
         bits = (n // 2).bit_length()
         width = (k - 1) * bits
         if width <= 64:
@@ -290,12 +296,9 @@ class _BlockSums:
             self.sums = np.cumsum(weights, out=weights)
 
     def blocks_agree(self, m: int, d: int) -> bool:
-        if self.rows is not None:
-            ends = self.rows[d][: m // d]
-        elif self.sums is not None:
-            ends = self.sums[d - 1 : m : d]
-        else:
+        if self.sums is None:
             return _blocks_agree(self.letters[:m], d, self.k)
+        ends = self.sums[d - 1 : m : d]
         return bool((ends[1:] - ends[:-1] == ends[0]).all())
 
 

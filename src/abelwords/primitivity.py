@@ -6,11 +6,13 @@ otherwise. The oracle tries every proper divisor of n. The production
 decider tests only the maximal proper divisors n/p, which suffices
 because an A-root of length d lifts to every multiple of d dividing n.
 Their blocks agree exactly when the prefix Parikh vector at each cut
-t·n/p is t/p of the word's, so the decider hands those lengths to the
-block engine: when the cuts, at most sum(p) of them, are few, it counts
-the word once between consecutive cuts in fixed-size chunks; otherwise
-it builds prefix sums at every letter. Either way a verdict costs O(n)
-time and memory whatever the alphabet size.
+t·n/p is t/p of the word's. When those cuts, sum(p) of them, are few,
+the decider counts the word once between consecutive cuts in fixed-size
+chunks (the cut counter, `_cuts_agree`); otherwise it tests each n/p in
+turn on the block table (`has_a_root_of_length`). It never builds the
+prefix sums that `root_profile` keeps. A verdict costs O(n) time per
+length tested, at most one per prime factor of n, and O(n) memory
+whatever the alphabet size.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .numtheory import divisors, factorize
-from .parikh import Word, _BlockSums, has_a_root_of_length
+from .parikh import Word, _cuts_agree, has_a_root_of_length
 
 
 @dataclass(frozen=True)
@@ -48,27 +50,23 @@ def is_a_primitive_oracle(w: Word) -> PrimitivityVerdict:
     return PrimitivityVerdict(True)
 
 
-def _maximal_divisors(m: int) -> list[int]:
-    """m/p for the primes p dividing m, in ascending p."""
-    return [m // p for p in factorize(m).primes]
-
-
-def _maximal_root(sums: _BlockSums, m: int, lengths=None) -> Optional[int]:
-    """The first of `lengths` (by default the maximal divisors of m) that
-    is an A-root of the length-m prefix; None when the prefix is
-    A-primitive."""
-    if lengths is None:
-        lengths = _maximal_divisors(m)
-    return next((d for d in lengths if sums.blocks_agree(m, d)), None)
+# Counting one segment takes about one numpy call per alphabet letter,
+# each worth what a pass over this many letters costs: the decider
+# counts at its cuts when (number of cuts) * k * _CUT_COST <= n.
+_CUT_COST = 512
 
 
 def is_a_primitive(w: Word) -> PrimitivityVerdict:
-    """Test the maximal proper divisors n/p in ascending p on block sums
-    built for those lengths alone; the witness is the largest of them
-    that is an A-root."""
+    """Test the maximal proper divisors n/p in ascending p, at their cuts
+    when those are few and one length at a time otherwise; the witness
+    is the largest of them that is an A-root."""
     n = _require_nonempty(w)
-    lengths = _maximal_divisors(n)
-    d = _maximal_root(_BlockSums(w, lengths), n, lengths)
+    k, lengths = w.alphabet_size, [n // p for p in factorize(n).primes]
+    if sum(n // d for d in lengths) * k * _CUT_COST <= n:
+        roots = _cuts_agree(w.letters, lengths, k)
+    else:
+        roots = (d for d in lengths if has_a_root_of_length(w, d))
+    d = next(iter(roots), None)
     return PrimitivityVerdict(d is None, d)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .numtheory import divisors, factorize
 from .parikh import Word, _BlockSums
-from .primitivity import _maximal_root, is_a_primitive
+from .primitivity import is_a_primitive
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ def root_profile(w: Word) -> RootProfile:
     the prefixes of the roots that no smaller root divides.
 
     A word the decider finds A-primitive gets the empty profile without
-    dense block sums; otherwise one set of them serves every test.
+    building block sums; otherwise one set of them serves every test.
     """
     n = len(w)
     if n < 2:
@@ -47,10 +47,12 @@ def root_profile(w: Word) -> RootProfile:
         if all(d * p in found for p in primes if n % (d * p) == 0) and sums.blocks_agree(n, d):
             found.add(d)
     roots = sorted(found - {n})
-    # no smaller root divides d exactly when no lower cover d/p is a root
-    prim = [d for d in roots
-            if all(d // p not in found for p in primes if d % p == 0)
-            and _maximal_root(sums, d) is None]
+    # the lower covers d/p are the maximal divisors of the prefix: no
+    # smaller root divides d exactly when none is a root of w, and the
+    # prefix is A-primitive exactly when none is a root of the prefix
+    covers = {d: [d // p for p in primes if d % p == 0] for d in roots}
+    prim = [d for d in roots if found.isdisjoint(covers[d])
+            and not any(sums.blocks_agree(d, c) for c in covers[d])]
     return RootProfile(n, tuple(roots), tuple(prim))
 
 

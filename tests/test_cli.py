@@ -364,16 +364,30 @@ def test_usage_errors(cli):
     assert code == 2
 
 
-def test_installed_entrypoint_runs():
+def _run_entrypoint(*argv, timeout=None):
     # the child imports the same abelwords as this process, installed or not
     src = str(pathlib.Path(abelwords.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "abelwords.cli", "check", "aabbab"],
+    return subprocess.run(
+        [sys.executable, "-m", "abelwords.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
+
+
+def test_installed_entrypoint_runs():
+    proc = _run_entrypoint("check", "aabbab")
     assert proc.returncode == 0
     assert proc.stdout.startswith("A-primitive")
+
+
+def test_count_over_one_letter_does_not_factorize_n():
+    # over one letter only n = 1 has a primitive word; trial division of
+    # a prime near 10^17 would run for minutes, so a child process with a
+    # timeout fails the test instead of hanging it
+    proc = _run_entrypoint("count", "--k", "1", "--n", "100000000000000003", timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "n\tpsi\tpsi_a\tdelta\n100000000000000003\t0\t0\t0\n"

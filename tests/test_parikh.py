@@ -17,7 +17,7 @@ from abelwords import (
     shared_root_check,
     sim_n,
 )
-from abelwords.parikh import _BlockSums
+from abelwords.parikh import _BlockSums, _cuts_agree
 from conftest import ref_has_root
 
 words = st.text(alphabet="abcd", min_size=1, max_size=40)
@@ -229,7 +229,7 @@ def _shuffled_power(rng, letters: np.ndarray, d: int) -> np.ndarray:
     return rng.permuted(copies, axis=1).ravel()
 
 
-def test_sparse_and_dense_modes_agree():
+def test_cut_counter_and_block_sums_agree():
     rng = np.random.default_rng(7)
     # 720720 = 2^4·3^2·5·7·11·13: 41 cuts, few enough for k <= 26
     for n, k, lengths in [(720_720, k, [720_720 // p for p in (2, 3, 5, 7, 11, 13)])
@@ -237,18 +237,22 @@ def test_sparse_and_dense_modes_agree():
         dtype = np.uint8 if k <= 256 else np.int64
         base = [rng.integers(0, k, n).astype(dtype) for _ in range(2)]
         samples = base + [_shuffled_power(rng, base[0], d) for d in lengths]
+        if k > 1:
+            # powers whose last block, or first, differs in one letter:
+            # the length drops out at its last cut
+            samples += [_first_zero_made_top(_shuffled_power(rng, base[1], d), b, d, k)
+                        for d in lengths for b in (n // d - 1, 0)]
         for letters in samples:
             w = Word(letters, k)
-            sparse, dense = _BlockSums(w, lengths), _BlockSums(w)
-            assert sparse.rows is not None and dense.rows is None, (n, k)
-            agree = [sparse.blocks_agree(n, d) for d in lengths]
-            assert agree == [dense.blocks_agree(n, d) for d in lengths], (n, k)
-            # the kept rows are the prefix Parikh vectors at the cuts
-            d = lengths[-1]
-            counts = [np.bincount(letters[: t * d], minlength=k) for t in (1, n // d)]
-            assert np.array_equal(sparse.rows[d][[0, -1]], counts), (n, k)
-            root = next((d for d, a in zip(lengths, agree) if a), None)
-            assert is_a_primitive(w).witness_root_length == root, (n, k)
+            expected = [d for d in lengths
+                        if all(np.array_equal(np.bincount(block, minlength=k),
+                                              np.bincount(letters[:d], minlength=k))
+                               for block in letters.reshape(-1, d))]
+            assert _cuts_agree(letters, lengths, k) == expected, (n, k)
+            sums = _BlockSums(w)
+            assert [d for d in lengths if sums.blocks_agree(n, d)] == expected
+            assert [d for d in lengths if has_a_root_of_length(w, d)] == expected
+            assert is_a_primitive(w).witness_root_length == next(iter(expected), None)
 
 
 def test_upward_closure_exhaustive_binary_12():
@@ -320,11 +324,15 @@ def test_decider_memory_does_not_grow_with_the_word():
 
 
 def test_decider_builds_no_cut_list_for_dense_cuts():
-    # n = 2·999983 has 999985 cuts: the prefix sums answer, and no
-    # per-cut structure is built
-    w = Word(np.random.default_rng(6).integers(0, 2, 2 * 999_983).astype(np.uint8), 2)
-    peak = _peak_bytes(is_a_primitive, w)
-    assert peak < 16 * 2**20, peak
+    # n = 2·999983 has 999985 cuts: each n/p is tested on its own, with
+    # no per-cut structure and no prefix sums at every letter (8 bytes
+    # a letter); random words and Abelian squares
+    rng = np.random.default_rng(6)
+    for k in (2, 3):
+        random = rng.integers(0, k, 2 * 999_983).astype(np.uint8)
+        for letters in (random, _shuffled_power(rng, random, 999_983)):
+            peak = _peak_bytes(is_a_primitive, Word(letters, k))
+            assert peak < 4 * 2**20, (k, peak)
 
 
 # --------------------------------------------------- one-length block test
@@ -366,9 +374,9 @@ def block_sums_built(monkeypatch):
     built = []
     init = _BlockSums.__init__
 
-    def counted_init(self, w, lengths=None):
+    def counted_init(self, w):
         built.append(len(w))
-        init(self, w, lengths)
+        init(self, w)
 
     monkeypatch.setattr(_BlockSums, "__init__", counted_init)
     return built
@@ -382,10 +390,9 @@ def test_one_length_tests_build_no_block_sums(block_sums_built):
     assert has_a_root_of_length(u, n)
     assert sim_n(u, x, n)
     assert commute_check(u, x, n) is not None
-    assert block_sums_built == []
+    # the decider that shared_root_check runs on u's prefix builds none either
     assert shared_root_check(u, x, n) == x.prefix(n)
-    # the one build left is the decider's, on u's length-n prefix
-    assert set(block_sums_built) <= {n}
+    assert block_sums_built == []
 
 
 def test_one_length_test_memory_does_not_grow_per_letter():

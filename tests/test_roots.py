@@ -17,6 +17,7 @@ from abelwords import (
     multiroot_word,
     root_profile,
 )
+from abelwords import primitivity
 from abelwords.parikh import _BlockSums
 from conftest import (
     ref_a_primitive,
@@ -140,20 +141,31 @@ def test_profile_matches_exhaustive_sweep(k, top):
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Counts block tests and dense builds of `_BlockSums`."""
+    """Counts block tests, the decider's included, and builds of `_BlockSums`."""
     calls = {"tests": 0, "dense": 0}
     agree, init = _BlockSums.blocks_agree, _BlockSums.__init__
+    cuts_agree, one_length = primitivity._cuts_agree, primitivity.has_a_root_of_length
 
     def counted_agree(self, m, d):
         calls["tests"] += 1
         return agree(self, m, d)
 
-    def counted_init(self, w, lengths=None):
-        init(self, w, lengths)
-        calls["dense"] += self.rows is None
+    def counted_init(self, w):
+        calls["dense"] += 1
+        init(self, w)
+
+    def counted_cuts(letters, lengths, k):
+        calls["tests"] += len(lengths)
+        return cuts_agree(letters, lengths, k)
+
+    def counted_one_length(w, d):
+        calls["tests"] += 1
+        return one_length(w, d)
 
     monkeypatch.setattr(_BlockSums, "blocks_agree", counted_agree)
     monkeypatch.setattr(_BlockSums, "__init__", counted_init)
+    monkeypatch.setattr(primitivity, "_cuts_agree", counted_cuts)
+    monkeypatch.setattr(primitivity, "has_a_root_of_length", counted_one_length)
     return calls
 
 
@@ -176,6 +188,7 @@ def test_power_of_a_block_tests_few_divisors(engine_calls):
     p = root_profile(w)
     assert p.a_root_lengths == tuple(d for d in range(8, n, 8) if n % d == 0)
     assert p.a_primitive_root_lengths == (8,)
-    # 191 proper divisors, 47 of them roots: the decider tests n/2 and
-    # n/3, the walk the roots and n/2, and only the 8-prefix is decided
-    assert engine_calls["tests"] < 60
+    # 191 proper divisors, 47 of them roots: the decider's cut counter
+    # takes the six n/p, the walk tests the roots and n/2, and only the
+    # 8-prefix is decided
+    assert engine_calls["tests"] < 60, engine_calls
