@@ -1,14 +1,18 @@
 """Exact counts of primitive and Abelian-primitive words.
 
-psi counts classically primitive words by Mobius inversion. psi_a counts
-A-primitive words by inclusion-exclusion over the maximal divisors n/p:
-a word is an Abelian power exactly when it has an A-root of some length
-n/p, and the words with an A-root at every n/p for p in a set S of primes
-are counted per Parikh vector as a product of multinomials. At n = 1 and
-prime n, psi_a = psi without any sum. An explicit budget on the size of
-k**n and on the number of multinomial factors guards against runaway
-runs. delta = psi - psi_a is zero at primes and has a closed form at
-prime powers (delta_prime_power), which is the |S| = 1 case of the sum.
+Each count runs one inclusion-exclusion over the nonempty sets S of the
+primes dividing n, from one factorization of n. psi counts classically
+primitive words: a word is a power exactly when it is a p-th power for
+some prime p, and the words that are a p-th power for every p in S are
+the k**(n/prod S) (prod S)-th powers. psi_a counts A-primitive words: a
+word is an Abelian power exactly when it has an A-root of some length
+n/p, and the words with an A-root at every n/p for p in S are counted
+per Parikh vector as a product of multinomials. At n = 1 and prime n,
+psi_a = psi, whose sum has at most one term. An explicit budget on the
+size of k**n and on the number of multinomial factors guards against
+runaway runs. delta = psi - psi_a is zero at primes and has a closed
+form at prime powers (delta_prime_power), which is the |S| = 1 case of
+the sum; it keeps its own loop, as an independent check of psi_a.
 
 All counts are exact unbounded integers.
 """
@@ -20,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .numtheory import divisors, factorize, is_prime, mobius
+from .numtheory import factorize, is_prime
 
 DEFAULT_BUDGET = 1 << 30
 
@@ -52,18 +56,25 @@ def psi(k: int, n: int) -> int:
     if k == 1:
         # the one word a^n is a power for n > 1; n is not factorized
         return int(n == 1)
-    return sum(mobius(d) * k ** (n // d) for d in divisors(n))
+    return _psi(k, n, _inclusion_exclusion(n, factorize(n).primes))
 
 
-def _inclusion_exclusion(n: int):
-    """(sign, n/L, S) for every nonempty set S of primes dividing n, L = prod(S).
+def _psi(k: int, n: int, terms) -> int:
+    """k**n minus the words that are a p-th power for some prime p | n,
+    by inclusion-exclusion: a p-th power for every p in S is a
+    (prod S)-th power, and there are k**(n/prod S) of them."""
+    return k ** n - sum(sign * k ** unit for sign, unit, _ in terms)
+
+
+def _inclusion_exclusion(n: int, primes):
+    """(sign, n/L, S) for every nonempty set S of the primes dividing n
+    (passed in, so n is factorized once), L = prod(S).
 
     The sign is (-1)^(|S|+1). The multiples of L/p for p in S cut [0, L]
     into sum(S) - |S| + 1 segments, because any two of them share only
     the points 0 and L; their lengths are listed only when the term is
     evaluated, since a budget refusal must not pay for them.
     """
-    primes = factorize(n).primes
     for size in range(1, len(primes) + 1):
         for s in combinations(primes, size):
             yield (-1) ** (size + 1), n // math.prod(s), s
@@ -96,9 +107,9 @@ def psi_a(k: int, n: int, *, budget: int | None = None) -> int:
     """Number of A-primitive length-n words over k letters.
 
     First the size of k**n, n letters of bit_length(k-1) bits in 64-bit
-    words, is checked against the budget, before n is tested for
-    primality or factorized. n = 1 and prime n then use the identity
-    psi_a = psi. Otherwise the Abelian powers are counted by
+    words, is checked against the budget, and k = 1 answers, before n is
+    factorized. n = 1 and prime n, told apart by that factorization, use
+    the identity psi_a = psi. Otherwise the Abelian powers are counted by
     inclusion-exclusion over the sets S of maximal divisors n/p. Each set
     sums over the C(n/L+k-1, k-1) Parikh vectors with entries divisible
     by L = prod(S), with one multinomial factor per segment; before any
@@ -116,9 +127,12 @@ def psi_a(k: int, n: int, *, budget: int | None = None) -> int:
             f"psi_a over {k} letters at n={n}: k**n takes {words} 64-bit words, "
             f"over the budget of {limit}"
         )
-    if k == 1 or n == 1 or is_prime(n):
-        return psi(k, n)
-    terms = list(_inclusion_exclusion(n))
+    if k == 1:
+        return int(n == 1)
+    primes = factorize(n).primes
+    terms = list(_inclusion_exclusion(n, primes))
+    if primes in ((), (n,)):
+        return _psi(k, n, terms)
     cost = n * sum(
         math.comb(unit + k - 1, k - 1) * (sum(s) - len(s) + 1) for _, unit, s in terms
     )

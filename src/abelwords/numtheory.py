@@ -19,10 +19,6 @@ class Factorization:
 
     entries: tuple[tuple[int, int], ...]
 
-    def value(self) -> int:
-        """Re-multiply the factorization."""
-        return prod(p ** a for p, a in self.entries)
-
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.entries)

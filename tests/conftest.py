@@ -1,9 +1,9 @@
 """Shared fixtures, reference oracles, and the acceptance summary hook.
 
 The reference oracles here are deliberately independent implementations
-(Counter comparisons, full divisor scans, a from-scratch vectorized
-sweep) so the library is always checked against something written
-separately from it.
+(Counter comparisons, full divisor scans, a Moebius sum for psi, a
+from-scratch vectorized sweep) so the library is always checked against
+something written separately from it.
 """
 
 import math
@@ -34,6 +34,26 @@ def ref_a_primitive(s) -> bool:
 def ref_a_root_lengths(s) -> list[int]:
     n = len(s)
     return [d for d in range(1, n) if n % d == 0 and ref_has_root(s, d)]
+
+
+def ref_mobius(n: int) -> int:
+    """Moebius function by trial division: 0 on a square factor, else
+    (-1) to the number of prime factors."""
+    sign, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+def ref_psi(k: int, n: int) -> int:
+    """Classically primitive words by definition: the Moebius sum over a
+    scan of every divisor d of n, each contributing mu(n/d) * k**d."""
+    return sum(ref_mobius(n // d) * k**d for d in range(1, n + 1) if n % d == 0)
 
 
 def max_division_free_size(values) -> int:

@@ -3,7 +3,6 @@ import io
 import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -274,7 +273,7 @@ def test_table_json(cli):
 
 # ----------------------------------------------------------- golden bytes
 
-_CHECK_TAIL = "algorithm linear, <s> s\n"  # the seconds are masked
+_CHECK_TAIL = "algorithm linear\n"
 _TABLE_K2_N8_JSON = (
     '[{"n": 1, "psi": 2, "psi_a": 2, "delta": 0}, '
     '{"n": 2, "psi": 2, "psi_a": 2, "delta": 0}, '
@@ -348,7 +347,6 @@ def test_cli_golden_bytes(cli, monkeypatch, argv, stdin_text, budget, code, out)
     else:
         monkeypatch.setenv("ABELWORDS_BUDGET", budget)
     got_code, got_out, _ = cli(argv, stdin_text)
-    got_out = re.sub(r"\d+\.\d{6} s$", "<s> s", got_out, flags=re.M)
     assert (got_code, got_out) == (code, out)
 
 
@@ -381,7 +379,8 @@ def _run_entrypoint(*argv, timeout=None):
 def test_installed_entrypoint_runs():
     proc = _run_entrypoint("check", "aabbab")
     assert proc.returncode == 0
-    assert proc.stdout.startswith("A-primitive")
+    # a fresh process prints the same bytes as the golden run in this one
+    assert proc.stdout == "A-primitive\nlength 6, alphabet 2, " + _CHECK_TAIL
 
 
 def test_count_over_one_letter_does_not_factorize_n():

@@ -15,8 +15,6 @@ from abelwords import (
 )
 from conftest import max_division_free_size
 
-sympy = pytest.importorskip("sympy")
-
 
 def brute_divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
@@ -25,7 +23,7 @@ def brute_divisors(n: int) -> list[int]:
 def test_factorize_roundtrip_small():
     for n in range(1, 200_001):
         f = factorize(n)
-        assert f.value() == n
+        assert math.prod(p**e for p, e in f.entries) == n
         primes = [p for p, _ in f.entries]
         assert primes == sorted(primes)
         assert all(e >= 1 for _, e in f.entries)
@@ -36,11 +34,12 @@ def test_factorize_roundtrip_sampled():
     for _ in range(3000):
         n = rng.randrange(2, 10**10)
         f = factorize(n)
-        assert f.value() == n
+        assert math.prod(p**e for p, e in f.entries) == n
         assert all(e >= 1 for _, e in f.entries)
 
 
 def test_factorize_matches_independent_factorizer():
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(7)
     samples = list(range(1, 500)) + [rng.randrange(2, 10**10) for _ in range(500)]
     for n in samples:
@@ -60,6 +59,7 @@ def test_prime_entries_are_prime():
 
 
 def test_is_prime_agrees_with_oracle():
+    sympy = pytest.importorskip("sympy")
     for n in range(0, 20_000):
         assert is_prime(n) == sympy.isprime(n)
 
@@ -86,6 +86,7 @@ def test_arith_bounds():
 
 
 def test_mobius_matches_oracle():
+    sympy = pytest.importorskip("sympy")
     for n in range(1, 10_000):
         assert mobius(n) == sympy.mobius(n)
 

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from abelwords import (
@@ -16,13 +16,14 @@ from abelwords import (
     simeq_n,
     witness_is_valid,
 )
+from conftest import ref_has_root
 
 W = Word.from_text
 
 
-def binary_words(length: int):
-    for bits in itertools.product("ab", repeat=length):
-        yield "".join(bits)
+def all_words(length: int, letters: str = "ab"):
+    for chars in itertools.product(letters, repeat=length):
+        yield "".join(chars)
 
 
 # ------------------------------------------------------------- relations
@@ -44,6 +45,19 @@ def test_simeq_known_pairs():
     assert simeq_n(W("aabb"), W("abab"), 2) is False
     # block i against block i, not block multisets: (ab, bb) vs (bb, ab)
     assert not simeq_n(W("abbb"), W("bbab"), 2)
+
+
+def test_relations_over_mixed_alphabets():
+    # u over {a, b} with k=2 and x over {a, b} with k=3: the words relate
+    # as their concatenation would, over the larger alphabet
+    u, x = W("abba", 2), W("baab", 3)
+    assert sim_n(u, x, 2) and sim_n(x, u, 2)
+    assert not sim_n(u, W("aabb", 3), 2)
+    assert not sim_n(W("abab", 2), W("aaab", 3), 2)  # first blocks differ
+    assert shared_root_check(u, x, 2) == W("ba", 3)
+    assert shared_root_check(W("aabb", 2), W("baab", 3), 4) == W("baab", 3)
+    with pytest.raises(ValueError):
+        shared_root_check(u, W("aabb", 3), 2)
 
 
 def test_relation_argument_errors():
@@ -122,19 +136,56 @@ def test_commute_argument_errors():
         commute_check(W(""), W("ab"), 1)
 
 
+def assert_commute_matches_relation(u, x, n):
+    """commute_check decides ux ~_n xu as the definition does, and each
+    witness it returns is the forced one and passes witness_is_valid."""
+    wit = commute_check(u, x, n)
+    assert (wit is not None) == sim_n(u + x, x + u, n)
+    if wit is not None:
+        assert (wit.r, wit.s, wit.q, wit.ux) == (
+            (len(u) + len(x)) // n, len(u) // n + 1, len(u) % n, u + x
+        )
+        assert witness_is_valid(u, x, n, wit)
+    return wit
+
+
 def test_commute_matches_relation_exhaustively():
-    for total in range(2, 11):
-        for ulen in range(1, total):
-            xlen = total - ulen
-            for n in [d for d in range(1, total + 1) if total % d == 0]:
-                for us in binary_words(ulen):
-                    for xs in binary_words(xlen):
-                        u, x = W(us, 2), W(xs, 2)
-                        ux, xu = u + x, x + u
-                        wit = commute_check(u, x, n)
-                        assert (wit is not None) == sim_n(ux, xu, n)
-                        if wit is not None:
-                            assert witness_is_valid(u, x, n, wit)
+    for letters, top in (("ab", 10), ("abc", 7)):
+        k = len(letters)
+        for total in range(2, top + 1):
+            for ulen in range(1, total):
+                for n in [d for d in range(1, total + 1) if total % d == 0]:
+                    for us in all_words(ulen, letters):
+                        for xs in all_words(total - ulen, letters):
+                            assert_commute_matches_relation(W(us, k), W(xs, k), n)
+
+
+@given(st.integers(2, 4), st.integers(1, 5), st.integers(1, 4), st.data())
+def test_commute_on_pairs_built_from_a_witness(k, n, r, data):
+    # every alpha_i is a shuffle of one word alpha and every beta_i of one
+    # word beta, so condition (c) holds and ux ~_n xu by construction
+    s = data.draw(st.integers(1, r), label="s")
+    q = data.draw(st.integers(0, n - 1), label="q")
+    assume((s, q) != (1, 0))  # u is nonempty
+    letter = st.integers(0, k - 1)
+    alpha = data.draw(st.lists(letter, min_size=q, max_size=q), label="alpha")
+    beta = data.draw(st.lists(letter, min_size=n - q, max_size=n - q), label="beta")
+    ux = []
+    for _ in range(r):
+        ux += data.draw(st.permutations(alpha)) + data.draw(st.permutations(beta))
+    cut = (s - 1) * n + q
+    u, x = Word(ux[:cut], k), Word(ux[cut:], k)
+    assert assert_commute_matches_relation(u, x, n) is not None
+
+
+@given(st.integers(2, 4), st.integers(1, 4), st.integers(1, 8), st.integers(1, 8),
+       st.data())
+def test_commute_on_random_pairs(k, n, ulen, xlen, data):
+    assume((ulen + xlen) % n == 0)
+    letter = st.integers(0, k - 1)
+    u = Word(data.draw(st.lists(letter, min_size=ulen, max_size=ulen)), k)
+    x = Word(data.draw(st.lists(letter, min_size=xlen, max_size=xlen)), k)
+    assert_commute_matches_relation(u, x, n)
 
 
 def test_witness_rejects_tampering():
@@ -196,29 +247,37 @@ def test_shared_root_errors():
         shared_root_check(W(""), W("ab"), 1)
 
 
-@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.data())
-def test_shared_root_agrees_with_direct_computation(n, mu, mx, data):
-    u = W(data.draw(st.text(alphabet="ab", min_size=n * mu, max_size=n * mu)), 2)
-    x = W(data.draw(st.text(alphabet="ab", min_size=n * mx, max_size=n * mx)), 2)
-    if not sim_n(u + x, x + u, n):
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 4), st.data())
+def test_shared_root_agrees_with_direct_computation(n, mu, mx, ku, kx, data):
+    # u and x may have different alphabet sizes; the relation is that of
+    # their concatenation over the larger alphabet
+    us = data.draw(st.text(alphabet="abcd"[:ku], min_size=n * mu, max_size=n * mu))
+    xs = data.draw(st.text(alphabet="abcd"[:kx], min_size=n * mx, max_size=n * mx))
+    u, x = W(us, ku), W(xs, kx)
+    commute = ref_has_root(us + xs, n)
+    if mu == mx:
+        assert sim_n(u, x, n) == commute
+    if not commute:
+        with pytest.raises(ValueError):
+            shared_root_check(u, x, n)
         return
     got = shared_root_check(u, x, n)
     prefix_primitive = is_a_primitive_linear(u.prefix(n)).is_a_primitive
     if not prefix_primitive:
         assert got is None
     else:
-        assert got is not None
-        assert len(got) == n
+        assert got == x.prefix(n)
         assert has_a_root_of_length(x, n)
-        assert parikh(got) == parikh(u.prefix(n))
+        assert sorted(got.to_text()) == sorted(us[:n])
 
 
 def test_shared_root_exhaustive_small():
     for n in (1, 2, 3):
         for mu in (1, 2):
             for mx in (1, 2):
-                for us in binary_words(n * mu):
-                    for xs in binary_words(n * mx):
+                for us in all_words(n * mu):
+                    for xs in all_words(n * mx):
                         u, x = W(us, 2), W(xs, 2)
                         if not sim_n(u + x, x + u, n):
                             continue
