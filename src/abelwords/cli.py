@@ -104,8 +104,10 @@ def cmd_relate(args):
     if wit is None:
         payload = {"verdict": False, "witness": None}
         return 1, payload, lambda: f"do not commute under ~_{args.n}\n"
-    alphas = [a.to_text() for a in wit.alphas]
-    betas = [b.to_text() for b in wit.betas]
+    # block i of ux is alpha_i beta_i, cut after q letters
+    text, n, q = wit.ux.to_text(), args.n, wit.q
+    alphas = [text[i:i + q] for i in range(0, len(text), n)]
+    betas = [text[i + q:i + n] for i in range(0, len(text), n)]
     witness = {"r": wit.r, "s": wit.s, "alphas": alphas, "betas": betas}
     return 0, {"verdict": True, "witness": witness}, lambda: (
         f"commute under ~_{args.n}\n"

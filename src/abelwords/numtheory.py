@@ -1,10 +1,13 @@
 """Exact integer arithmetic used by the word-analysis algorithms.
 
 Factorization is plain trial division with full extraction of each prime
-power; nothing here uses sieves or probabilistic primality, so the cost
-model of the recognition algorithms stays transparent. The middle layer
-of the divisor lattice (the largest division-free set of divisors) is
-built from exponent vectors directly.
+power, written once: `factorize` collects every (prime, exponent) pair
+the walk yields and `is_prime` reads only the first. Nothing here uses
+sieves or probabilistic primality, so the cost model of the recognition
+algorithms stays transparent. Divisors are enumerated once too, as
+exponent vectors with their sums: `divisors` sorts them, and the middle
+layer of the divisor lattice (the largest division-free set of divisors)
+keeps those whose sum is half of n's, rounded down.
 """
 
 from __future__ import annotations
@@ -24,16 +27,13 @@ class Factorization:
         return tuple(p for p, _ in self.entries)
 
 
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division.
+def _trial_division(n: int):
+    """Yield the (prime, exponent) pairs of n >= 1 as trial division finds them.
 
     Candidate divisors run up to the square root of the shrinking
     cofactor, each prime is extracted to its full power, and whatever
-    remains above 1 at the end is itself prime and is appended.
+    remains above 1 at the end is itself prime and is yielded last.
     """
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
-    entries = []
     m = n
     d = 2
     while d * d <= m:
@@ -42,22 +42,23 @@ def factorize(n: int) -> Factorization:
             while m % d == 0:
                 m //= d
                 a += 1
-            entries.append((d, a))
+            yield d, a
         d += 1 if d == 2 else 2
     if m > 1:
-        entries.append((m, 1))
-    return Factorization(tuple(entries))
+        yield m, 1
+
+
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 by trial division."""
+    if n < 1:
+        raise ValueError(f"factorize requires n >= 1, got {n}")
+    return Factorization(tuple(_trial_division(n)))
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    """n >= 2 is prime when its first prime power is n itself; trial
+    division stops at the first factor it finds."""
+    return n >= 2 and next(_trial_division(n)) == (n, 1)
 
 
 def arith(n: int) -> tuple[int, int, int, int]:
@@ -86,14 +87,20 @@ def mobius(n: int) -> int:
     return -1 if len(entries) % 2 else 1
 
 
+def _exponent_walk(n: int) -> list[tuple[int, int]]:
+    """(d, sum of d's prime exponents) for every divisor d of n >= 1, one
+    exponent vector at a time; the last pair is n itself."""
+    walk = [(1, 0)]
+    for p, a in factorize(n).entries:
+        walk = [(d * p**b, s + b) for d, s in walk for b in range(a + 1)]
+    return walk
+
+
 def divisors(n: int) -> list[int]:
     """All divisors of n >= 1, ascending, including 1 and n."""
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
-    divs = [1]
-    for p, a in factorize(n).entries:
-        divs = [d * p ** b for d in divs for b in range(a + 1)]
-    return sorted(divs)
+    return sorted(d for d, _ in _exponent_walk(n))
 
 
 def middle_antichain(n: int) -> list[int]:
@@ -103,28 +110,15 @@ def middle_antichain(n: int) -> list[int]:
     sum to floor(omega_prime(n)/2). The result is division-free and has
     maximum size among all division-free sets of divisors of n, so its
     length is the bound s(n) on the number of distinct A-primitive roots
-    a word of length n can have. Built by enumerating exponent vectors,
-    not by filtering the full divisor list.
+    a word of length n can have. It keeps those divisors from the walk
+    over every exponent vector that `divisors` sorts; n itself carries
+    the largest exponent sum, omega_prime(n).
     """
     if n < 2:
         raise ValueError(f"middle_antichain requires n >= 2, got {n}")
-    entries = factorize(n).entries
-    target = sum(a for _, a in entries) // 2
-    out: list[int] = []
-
-    def extend(i: int, remaining: int, value: int) -> None:
-        if i == len(entries):
-            if remaining == 0:
-                out.append(value)
-            return
-        p, alpha = entries[i]
-        pw = 1
-        for b in range(min(alpha, remaining) + 1):
-            extend(i + 1, remaining - b, value * pw)
-            pw *= p
-
-    extend(0, target, 1)
-    return sorted(out)
+    walk = _exponent_walk(n)
+    target = walk[-1][1] // 2
+    return sorted(d for d, s in walk if s == target)
 
 
 def multiples_closure(n: int) -> list[int]:

@@ -94,11 +94,16 @@ def witness_is_valid(u: Word, x: Word, n: int, wit: CommutationWitness) -> bool:
     if not (np.array_equal(ux.letters[:cut], u.letters)
             and np.array_equal(ux.letters[cut:], x.letters)):
         return False
+    return _parts_agree(wit)
+
+
+def _parts_agree(wit: CommutationWitness) -> bool:
+    """Condition (c): the alphas share one Parikh vector and so do the betas."""
     # column j of the r x n block table holds letter j of every block
-    blocks = ux.letters.reshape(r, n)
+    blocks = wit.ux.letters.reshape(wit.r, -1)
     return all(
-        has_a_root_of_length(Word(part.ravel(), ux.alphabet_size), part.shape[1])
-        for part in (blocks[:, :q], blocks[:, q:])
+        has_a_root_of_length(Word(part.ravel(), wit.ux.alphabet_size), part.shape[1])
+        for part in (blocks[:, :wit.q], blocks[:, wit.q:])
         if part.size
     )
 
@@ -108,14 +113,15 @@ def commute_check(u: Word, x: Word, n: int) -> Optional[CommutationWitness]:
 
     Conditions (a) and (b) force the witness: it cuts each length-n
     block of ux at offset q = |u| mod n into alpha_i beta_i, and the
-    block containing the u/x boundary has index s = |u| div n + 1. So
-    the one candidate is returned exactly when witness_is_valid accepts
-    it, and that decides the relation: the blocks of xu are
-    beta_i alpha_(i+1), indices taken cyclically, so they and the blocks
-    alpha_i beta_i of ux all share one Parikh vector exactly when the
-    alphas share one and the betas share one. When n divides |u| the
-    boundary is block-aligned and the alphas are empty words, the
-    boundary case the witness shape explicitly permits.
+    block containing the u/x boundary has index s = |u| div n + 1. The
+    candidate's ux is u + x itself, so (a) and (b) hold by construction,
+    and it is returned exactly when (c) holds. That decides the
+    relation: the blocks of xu are beta_i alpha_(i+1), indices taken
+    cyclically, so they and the blocks alpha_i beta_i of ux all share
+    one Parikh vector exactly when the alphas share one and the betas
+    share one. When n divides |u| the boundary is block-aligned and the
+    alphas are empty words, the boundary case the witness shape
+    explicitly permits.
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
@@ -125,7 +131,7 @@ def commute_check(u: Word, x: Word, n: int) -> Optional[CommutationWitness]:
         raise ValueError(f"block length {n} must divide |u| + |x| = {len(u) + len(x)}")
     ux = u + x
     wit = CommutationWitness(len(ux) // n, len(u) // n + 1, len(u) % n, ux)
-    return wit if witness_is_valid(u, x, n, wit) else None
+    return wit if _parts_agree(wit) else None
 
 
 def shared_root_check(u: Word, x: Word, n: int) -> Optional[Word]:

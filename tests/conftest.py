@@ -1,17 +1,32 @@
 """Shared fixtures, reference oracles, and the acceptance summary hook.
 
 The reference oracles here are deliberately independent implementations
-(Counter comparisons, full divisor scans, a Moebius sum for psi, a
-from-scratch vectorized sweep) so the library is always checked against
-something written separately from it.
+(Counter comparisons, full divisor scans, a Moebius sum for psi, a sieve
+of smallest prime factors, a from-scratch vectorized sweep) so the
+library is always checked against something written separately from it.
 """
 
 import math
+import os
+import pathlib
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 import pytest
+
+# ------------------------------------------------------- child processes
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child Python that imports the same abelwords as
+    this process, installed or not."""
+    import abelwords
+
+    src = str(pathlib.Path(abelwords.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
 
 # ---------------------------------------------------------------- oracles
 
@@ -48,6 +63,31 @@ def ref_mobius(n: int) -> int:
             sign = -sign
         p += 1
     return -sign if m > 1 else sign
+
+
+@lru_cache(maxsize=None)
+def ref_smallest_factors(limit: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes: entry n is the smallest prime dividing n,
+    for 2 <= n < limit (limit >= 2; entries 0 and 1 are 0). n >= 2 is
+    prime exactly when its entry is n itself."""
+    spf = list(range(limit))
+    spf[0] = spf[1] = 0
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return tuple(spf)
+
+
+def ref_big_omega(n: int, spf) -> int:
+    """Prime factors of n >= 1 counted with multiplicity, read off a
+    smallest-factor table from ref_smallest_factors."""
+    count = 0
+    while n > 1:
+        n //= spf[n]
+        count += 1
+    return count
 
 
 def ref_psi(k: int, n: int) -> int:

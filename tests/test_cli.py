@@ -1,15 +1,16 @@
 import decimal
 import io
 import json
-import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
-import abelwords
+from abelwords import Word, commute_check
 from abelwords.cli import main
+from conftest import child_env
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table_k2_n20.tsv"
 
@@ -184,6 +185,26 @@ def test_relate_json(cli):
     code, out, _ = cli(["relate", "baa", "a", "--n", "2", "--format", "json"])
     assert code == 1
     assert json.loads(out) == {"verdict": False, "witness": None}
+
+
+@pytest.mark.parametrize("cut", [10_003, 10_000])
+def test_relate_json_lists_every_witness_part(cli, cut):
+    # a commuting pair of 20,000 letters: every length-5 block of ux is a
+    # shuffled alpha then a shuffled beta, cut at q = 3 and at q = 0
+    rng = random.Random(cut)
+    n, q = 5, cut % 5
+    ux = "".join(
+        "".join(rng.sample("abcab"[:q], q) + rng.sample("abcab"[q:], n - q))
+        for _ in range(20_000 // n)
+    )
+    u, x = ux[:cut], ux[cut:]
+    wit = commute_check(Word.from_text(u, 3), Word.from_text(x, 3), n)
+    assert wit is not None and wit.q == q
+    code, out, _ = cli(["relate", u, x, "--n", str(n), "--format", "json"])
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert witness["alphas"] == [a.to_text() for a in wit.alphas]
+    assert witness["betas"] == [b.to_text() for b in wit.betas]
 
 
 def test_relate_bad_n(cli):
@@ -363,15 +384,11 @@ def test_usage_errors(cli):
 
 
 def _run_entrypoint(*argv, timeout=None):
-    # the child imports the same abelwords as this process, installed or not
-    src = str(pathlib.Path(abelwords.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     return subprocess.run(
         [sys.executable, "-m", "abelwords.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=timeout,
     )
 

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +15,7 @@ from abelwords import (
     mobius,
     multiples_closure,
 )
-from conftest import max_division_free_size
+from conftest import child_env, max_division_free_size, ref_big_omega, ref_smallest_factors
 
 
 def brute_divisors(n: int) -> list[int]:
@@ -53,9 +55,28 @@ def test_factorize_rejects_nonpositive():
 
 
 def test_prime_entries_are_prime():
-    for n in range(2, 5000):
+    # against the sieve, which shares no loop with factorize or is_prime
+    spf = ref_smallest_factors(20_000)
+    for n in range(2, 20_000):
         for p, _ in factorize(n).entries:
-            assert is_prime(p)
+            assert spf[p] == p
+
+
+def test_is_prime_agrees_with_sieve():
+    spf = ref_smallest_factors(20_000)
+    for n in range(0, 20_000):
+        assert is_prime(n) == (n >= 2 and spf[n] == n)
+
+
+def test_is_prime_stops_at_the_first_factor():
+    # 2**61 - 1 is prime, so a walk that went on past the factor 2 would
+    # run for hours; a child process with a timeout fails the test
+    # instead of hanging it
+    code = "from abelwords import is_prime; print(is_prime(2 * (2**61 - 1)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=10
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_is_prime_agrees_with_oracle():
@@ -109,6 +130,15 @@ def test_middle_antichain_known_values():
     assert middle_antichain(360) == [8, 12, 18, 20, 30, 45]
     assert middle_antichain(7) == [1]
     assert middle_antichain(4) == [2]
+
+
+def test_middle_antichain_against_brute_force():
+    # {d | n : Omega(d) = floor(Omega(n) / 2)}, Omega read off the sieve
+    spf = ref_smallest_factors(20_000)
+    for n in range(2, 5001):
+        target = ref_big_omega(n, spf) // 2
+        expect = [d for d in brute_divisors(n) if ref_big_omega(d, spf) == target]
+        assert middle_antichain(n) == expect
 
 
 def test_middle_antichain_is_division_free():
