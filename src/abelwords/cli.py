@@ -22,7 +22,7 @@ import os
 import sys
 
 from .constructions import ConstructionBudgetError, ConstructionSpec, FAMILIES
-from .counting import CountRow, EnumerationBudgetError, count_table, psi, psi_a
+from .counting import EnumerationBudgetError, _count_row, count_table
 from .parikh import Word
 from .primitivity import is_a_primitive, is_a_primitive_linear, is_a_primitive_oracle
 from .relations import commute_check
@@ -128,9 +128,7 @@ def _count_rows(rows):
 
 
 def cmd_count(args):
-    part = psi_a(args.k, args.n, budget=_budget_from_env())
-    full = psi(args.k, args.n)
-    (payload,), text = _count_rows([CountRow(args.n, full, part, full - part)])
+    (payload,), text = _count_rows([_count_row(args.k, args.n, _budget_from_env())])
     return 0, payload, text
 
 

@@ -10,9 +10,14 @@ n/p, and the words with an A-root at every n/p for p in S are counted
 per Parikh vector as a product of multinomials. At n = 1 and prime n,
 psi_a = psi, whose sum has at most one term. An explicit budget on the
 size of k**n and on the number of multinomial factors guards against
-runaway runs. delta = psi - psi_a is zero at primes and has a closed
-form at prime powers (delta_prime_power), which is the |S| = 1 case of
-the sum; it keeps its own loop, as an independent check of psi_a.
+runaway runs; both are checked before k**n is evaluated. A row (n, psi,
+psi_a, delta), which psi_a, delta, count_table and the CLI's count
+read, is built in one place: n is factorized once, its terms are listed
+once, and k**n is evaluated once for both sums. psi alone keeps its own
+path, with no budget. delta = psi - psi_a is zero at primes and has a
+closed form at prime powers (delta_prime_power), which is the |S| = 1
+case of the sum; it keeps its own loop, as an independent check of
+psi_a.
 
 All counts are exact unbounded integers.
 """
@@ -56,14 +61,14 @@ def psi(k: int, n: int) -> int:
     if k == 1:
         # the one word a^n is a power for n > 1; n is not factorized
         return int(n == 1)
-    return _psi(k, n, _inclusion_exclusion(n, factorize(n).primes))
+    return _psi(k, k ** n, _inclusion_exclusion(n, factorize(n).primes))
 
 
-def _psi(k: int, n: int, terms) -> int:
-    """k**n minus the words that are a p-th power for some prime p | n,
-    by inclusion-exclusion: a p-th power for every p in S is a
+def _psi(k: int, power: int, terms) -> int:
+    """power = k**n minus the words that are a p-th power for some prime
+    p | n, by inclusion-exclusion: a p-th power for every p in S is a
     (prod S)-th power, and there are k**(n/prod S) of them."""
-    return k ** n - sum(sign * k ** unit for sign, unit, _ in terms)
+    return power - sum(sign * k ** unit for sign, unit, _ in terms)
 
 
 def _inclusion_exclusion(n: int, primes):
@@ -103,6 +108,47 @@ def _words_with_roots(k: int, unit: int, primes) -> int:
     return total
 
 
+def _count_row(k: int, n: int, budget: int | None) -> CountRow:
+    """The row (n, psi, psi_a, delta) that psi_a, delta, count_table and
+    the CLI's count read; no other code builds a CountRow.
+
+    In order: validate k and n, check the size of k**n, answer k = 1,
+    factorize n and list its terms once, answer n = 1 and prime n, check
+    the cost, and only then evaluate k**n, once, for both sums. So a
+    refusal never pays for k**n, and an oversized n is never factorized.
+    """
+    if k < 1 or n < 1:
+        raise ValueError("psi_a requires k >= 1 and n >= 1")
+    limit = DEFAULT_BUDGET if budget is None else int(budget)
+    # k**n < 2**(n*b) for b = bit_length(k-1), the bits of one letter
+    words = -(-n * (k - 1).bit_length() // 64)
+    if words > limit:
+        raise EnumerationBudgetError(
+            f"psi_a over {k} letters at n={n}: k**n takes {words} 64-bit words, "
+            f"over the budget of {limit}"
+        )
+    if k == 1:
+        one = int(n == 1)
+        return CountRow(n, one, one, 0)
+    primes = factorize(n).primes
+    terms = list(_inclusion_exclusion(n, primes))
+    if primes in ((), (n,)):
+        full = _psi(k, k ** n, terms)
+        return CountRow(n, full, full, 0)
+    cost = n * sum(
+        math.comb(unit + k - 1, k - 1) * (sum(s) - len(s) + 1) for _, unit, s in terms
+    )
+    if cost > limit:
+        raise EnumerationBudgetError(
+            f"counting A-primitive words over {k} letters at n={n} costs {cost} "
+            f"(multinomial factors times n), over the budget of {limit}"
+        )
+    power = k ** n
+    full = _psi(k, power, terms)
+    part = power - sum(sign * _words_with_roots(k, unit, s) for sign, unit, s in terms)
+    return CountRow(n, full, part, full - part)
+
+
 def psi_a(k: int, n: int, *, budget: int | None = None) -> int:
     """Number of A-primitive length-n words over k letters.
 
@@ -117,37 +163,12 @@ def psi_a(k: int, n: int, *, budget: int | None = None) -> int:
     the budget. Either check raises EnumerationBudgetError when it is
     over.
     """
-    if k < 1 or n < 1:
-        raise ValueError("psi_a requires k >= 1 and n >= 1")
-    limit = DEFAULT_BUDGET if budget is None else int(budget)
-    # k**n < 2**(n*b) for b = bit_length(k-1), the bits of one letter
-    words = -(-n * (k - 1).bit_length() // 64)
-    if words > limit:
-        raise EnumerationBudgetError(
-            f"psi_a over {k} letters at n={n}: k**n takes {words} 64-bit words, "
-            f"over the budget of {limit}"
-        )
-    if k == 1:
-        return int(n == 1)
-    primes = factorize(n).primes
-    terms = list(_inclusion_exclusion(n, primes))
-    if primes in ((), (n,)):
-        return _psi(k, n, terms)
-    cost = n * sum(
-        math.comb(unit + k - 1, k - 1) * (sum(s) - len(s) + 1) for _, unit, s in terms
-    )
-    if cost > limit:
-        raise EnumerationBudgetError(
-            f"counting A-primitive words over {k} letters at n={n} costs {cost} "
-            f"(multinomial factors times n), over the budget of {limit}"
-        )
-    return k ** n - sum(sign * _words_with_roots(k, unit, s) for sign, unit, s in terms)
+    return _count_row(k, n, budget).psi_a
 
 
 def delta(k: int, n: int, *, budget: int | None = None) -> int:
     """psi - psi_a; nonnegative, zero when n is 1 or prime."""
-    part = psi_a(k, n, budget=budget)  # first, so the budget is checked before k**n
-    return psi(k, n) - part
+    return _count_row(k, n, budget).delta
 
 
 def _compositions(total: int, parts: int):
@@ -194,9 +215,9 @@ def delta_prime_power(k: int, p: int, r: int) -> int:
 def count_table(k: int, max_n: int, *, budget: int | None = None) -> CountTable:
     """Rows (n, psi, psi_a, delta) for n = 1..max_n.
 
-    Every row comes from psi_a, so n = 1 and prime rows are exact at any
-    size; rows whose counting cost exceeds the budget are skipped and
-    recorded in the skipped field.
+    Every row is the one psi_a checks, so n = 1 and prime rows are exact
+    at any size; rows over the budget are skipped and recorded in the
+    skipped field.
     """
     if k < 1 or max_n < 1:
         raise ValueError("count_table requires k >= 1 and max_n >= 1")
@@ -204,10 +225,7 @@ def count_table(k: int, max_n: int, *, budget: int | None = None) -> CountTable:
     skipped = []
     for n in range(1, max_n + 1):
         try:
-            part = psi_a(k, n, budget=budget)
+            rows.append(_count_row(k, n, budget))
         except EnumerationBudgetError:
             skipped.append(n)
-            continue
-        full = psi(k, n)
-        rows.append(CountRow(n, full, part, full - part))
     return CountTable(k, tuple(rows), tuple(skipped))

@@ -1,13 +1,16 @@
 """Words over an indexed alphabet, Parikh vectors, and block tests.
 
-A word stores its letters as a numpy array of symbol indices so that
-counting stays cheap on multi-megabyte inputs. Parikh vectors are plain
+A word stores its letters as a numpy array of symbol indices, in the
+narrowest unsigned type that holds k - 1 (uint8 up to 256 letters,
+uint16 up to 65,536), so that counting stays cheap on multi-megabyte
+inputs and 8- and 16-bit letters sort by radix. Parikh vectors are plain
 tuples of per-letter counts. The central primitive is the block test:
 do all length-d blocks of a word's length-m prefix share one Parikh
 vector? Three kernels answer it, each for its own callers.
 
-- One length d (`has_a_root_of_length`, hence the oracle, the relations
-  layer and the decider when its cuts are many): `_blocks_agree` views
+- One length d (`has_a_root_of_length`, hence the oracle, `sim_n`,
+  `shared_root_check` and the decider when its cuts are many; and the
+  column test of commutation witnesses directly): `_blocks_agree` views
   the letters as an (m/d, d) table and counts each letter in every row
   in one vectorized pass, stopping at the first letter whose counts
   differ; blocks of at least _CHUNK letters go to the cut counter.
@@ -79,8 +82,9 @@ class Word:
                 raise ValueError(
                     f"letter out of range for alphabet of size {alphabet_size}"
                 )
-        dtype = np.uint8 if alphabet_size <= 256 else np.int64
-        arr = arr.astype(dtype, copy=False)
+        # the narrowest unsigned type that holds k - 1: uint8 up to 256
+        # letters, uint16 up to 65,536; any numpy integer letter fits uint64
+        arr = arr.astype(np.min_scalar_type(min(alphabet_size - 1, 2**64 - 1)), copy=False)
         if arr.flags.writeable:
             # never freeze or alias storage the caller still owns
             if arr is letters or arr.base is not None:
@@ -128,7 +132,7 @@ class Word:
     def to_text(self) -> str:
         if self.alphabet_size > 26:
             raise ValueError("only alphabets up to 26 letters serialize as text")
-        return (self.letters.astype(np.uint8) + ord("a")).tobytes().decode("ascii")
+        return (self.letters + ord("a")).tobytes().decode("ascii")
 
     def prefix(self, d: int) -> "Word":
         if not 0 <= d <= len(self):
@@ -248,8 +252,7 @@ def _blocks_agree(letters: np.ndarray, d: int, k: int) -> bool:
     if d >= _CHUNK:
         return bool(_cuts_agree(letters, [d], k))
     if k > _NARROW:
-        # the narrowest dtype: 8- and 16-bit letters sort by radix in O(m)
-        blocks = _sorted_blocks(letters.astype(np.min_scalar_type(k - 1), copy=False), d)
+        blocks = _sorted_blocks(letters, d)
         return bool((blocks[1:] == blocks[0]).all())
     table = letters.reshape(-1, d)
     dtype = np.min_scalar_type(d)

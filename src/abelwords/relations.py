@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .parikh import Word, _deferred_numpy, _sorted_blocks, has_a_root_of_length
+from .parikh import Word, _blocks_agree, _deferred_numpy, _sorted_blocks, has_a_root_of_length
 from .primitivity import is_a_primitive
 
 np = _deferred_numpy()
@@ -99,10 +99,11 @@ def witness_is_valid(u: Word, x: Word, n: int, wit: CommutationWitness) -> bool:
 
 def _parts_agree(wit: CommutationWitness) -> bool:
     """Condition (c): the alphas share one Parikh vector and so do the betas."""
-    # column j of the r x n block table holds letter j of every block
+    # column j of the r x n block table holds letter j of every block; the
+    # parts are tested where they lie, and one row (r = 1) agrees with itself
     blocks = wit.ux.letters.reshape(wit.r, -1)
     return all(
-        has_a_root_of_length(Word(part.ravel(), wit.ux.alphabet_size), part.shape[1])
+        _blocks_agree(part.ravel(), part.shape[1], wit.ux.alphabet_size)
         for part in (blocks[:, :wit.q], blocks[:, wit.q:])
         if part.size
     )

@@ -407,3 +407,24 @@ def test_count_over_one_letter_does_not_factorize_n():
     proc = _run_entrypoint("count", "--k", "1", "--n", "100000000000000003", timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "n\tpsi\tpsi_a\tdelta\n100000000000000003\t0\t0\t0\n"
+
+
+def test_count_refuses_a_costly_row_before_k_to_the_n():
+    # 2**33 passes the size check and fails the cost check; evaluating
+    # k**n first would build a number of 2**33 bits, so a child process
+    # with a timeout fails the test instead of hanging it
+    proc = _run_entrypoint("count", "--k", "2", "--n", "8589934592", timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "budget" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--k", "0", "--n", "5"],
+    ["count", "--k", "2", "--n", "0"],
+    ["table", "--k", "0", "--max-n", "5"],
+    ["table", "--k", "2", "--max-n", "0"],
+])
+def test_count_and_table_reject_bad_arguments(cli, argv):
+    code, out, err = cli(argv)
+    assert (code, out) == (2, "")
+    assert "requires k >= 1" in err

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from abelwords import (
     psi,
     psi_a,
 )
+from abelwords import counting
 from abelwords.cli import main
 from conftest import _prim_table, ref_a_primitive, ref_psi
 
@@ -181,6 +183,32 @@ def test_size_of_k_to_the_n_is_checked_before_anything_else(capsys):
         assert out == "" and "budget" in err
 
 
+def test_cost_refusal_comes_before_k_to_the_n():
+    # 2**33 is composite and its k**n fits the size check, so only the
+    # cost check stands between the call and a number of 2**33 bits
+    for count in (psi_a, delta):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(EnumerationBudgetError, match="multinomial factors"):
+                count(2, 2**33)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1, count
+        assert peak < 1 << 20, (count, peak)
+
+
+def test_one_factorization_per_row(monkeypatch):
+    calls, factorize = [], counting.factorize
+    monkeypatch.setattr(counting, "factorize", lambda n: calls.append(n) or factorize(n))
+    count_table(3, 30)
+    assert calls == list(range(1, 31))
+    calls.clear()
+    assert main(["count", "--k", "3", "--n", "12"]) == 0
+    assert calls == [12]
+
+
 def test_budget_env_is_not_read_by_library(monkeypatch):
     monkeypatch.setenv("ABELWORDS_BUDGET", "1")
     assert psi_a(2, 6) == 36  # only the CLI consults the environment
@@ -245,6 +273,14 @@ def test_count_table_prime_rows_need_no_budget():
         assert r.psi_a == r.psi
         if r.n > 1:
             assert r.psi_a == 4**r.n - 4
+
+
+def test_count_table_psi_column_is_psi():
+    for k in range(1, 6):
+        table = count_table(k, 40)
+        assert table.skipped == ()
+        for r in table.rows:
+            assert r.psi == psi(k, r.n), (k, r.n)
 
 
 def test_count_table_rejects_bad_args():

@@ -124,6 +124,14 @@ def test_large_alphabet_storage():
     assert parikh(w) == tuple([1] * 300)
     with pytest.raises(ValueError):
         w.to_text()  # only a..z render as text
+    # letters take the narrowest unsigned type that holds k - 1
+    assert w.letters.dtype == np.uint16
+    assert Word(np.arange(256), 256).letters.dtype == np.uint8
+    assert Word([0, 1], 65_536).letters.dtype == np.uint16
+    assert Word([0, 1], 70_000).letters.dtype == np.uint32
+    assert Word([0, 1], 2**70).letters.dtype == np.uint64
+    v = Word(list(range(300)), 300)
+    assert v == w and hash(v) == hash(w)
 
 
 def test_empty_word_is_legal():

@@ -172,7 +172,7 @@ def engine_calls(monkeypatch):
 @pytest.mark.parametrize("k, n", [(3, 720_720), (4, 6_291_456)])
 def test_a_primitive_word_needs_only_the_decider(engine_calls, k, n):
     # a random word of either length is A-primitive; the k=4 one has
-    # packed counts wider than 64 bits, where dense tests sort blocks
+    # packed counts wider than 64 bits, where dense tests run the block table
     w = Word(np.random.default_rng([k, n]).integers(0, k, n, dtype=np.uint8), k)
     p = root_profile(w)
     assert (p.a_root_lengths, p.a_primitive_root_lengths) == ((), ())
