@@ -55,10 +55,10 @@ def _budget_from_env() -> int | None:
     raw = os.environ.get("ABELWORDS_BUDGET")
     if raw is None:
         return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"ABELWORDS_BUDGET must be an integer, got {raw!r}")
+    with contextlib.suppress(ValueError):
+        if (budget := int(raw)) >= 0:
+            return budget
+    raise ValueError(f"ABELWORDS_BUDGET must be an integer >= 0, got {raw!r}")
 
 
 def cmd_check(args):

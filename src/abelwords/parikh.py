@@ -4,25 +4,33 @@ A word stores its letters as a numpy array of symbol indices, in the
 narrowest unsigned type that holds k - 1 (uint8 up to 256 letters,
 uint16 up to 65,536), so that counting stays cheap on multi-megabyte
 inputs and 8- and 16-bit letters sort by radix. Parikh vectors are plain
-tuples of per-letter counts. The central primitive is the block test:
-do all length-d blocks of a word's length-m prefix share one Parikh
-vector? Three kernels answer it, each for its own callers.
+tuples of per-letter counts, k entries each, so `parikh` costs O(n + k)
+and `block_parikhs`, one vector per block, O(n + k·n/d).
 
-- One length d (`has_a_root_of_length`, hence the oracle, `sim_n`,
-  `shared_root_check` and the decider when its cuts are many; and the
-  column test of commutation witnesses directly): `_blocks_agree` views
+The central primitive is the block test: do all length-d blocks of a
+word's length-m prefix share one Parikh vector? Every block test goes
+through one entry, `_blocks_agree(letters, lengths, k)`, which yields
+the lengths whose blocks agree, in the order given, and picks the kernel
+by one rule:
+
+- A word with fewer letters than k is first ranked to the letters it
+  contains, so no count is k wide and every test is O(m) whatever k is.
+- Each length d >= _CUT_COST·k goes to the cut counter, `_cuts_agree`,
+  all such lengths in one pass: the length-d blocks agree exactly when
+  the prefix Parikh vectors at the cuts d, 2d, ..., m step by one
+  vector, so it counts the letters once between consecutive cuts and
+  drops each length at its first cut that breaks the step.
+- Each other length goes to the block table, `_table_agrees`: it views
   the letters as an (m/d, d) table and counts each letter in every row
   in one vectorized pass, stopping at the first letter whose counts
-  differ; blocks of at least _CHUNK letters go to the cut counter.
-- The cut counter (the decider when its cuts, sum(p) for the lengths
-  |w|/p, are few): the length-d blocks agree exactly when the prefix
-  Parikh vectors at the cuts d, 2d, ..., |w| step by one vector, so
-  `_cuts_agree` counts the letters once between consecutive cuts and
-  drops each length at its first cut that breaks the step.
-- Every divisor of every prefix (`root_profile` alone): `_BlockSums`
-  packs prefix sums at every letter once, and each test reads them at
-  the cuts; past 64 packed bits it runs `_blocks_agree` on the prefix
-  instead.
+  differ; wider alphabets than _NARROW compare sorted blocks.
+
+The entry serves `has_a_root_of_length` (hence the oracle, `sim_n` and
+`shared_root_check`), the decider, which passes all its lengths n/p at
+once, and the column test of commutation witnesses. `root_profile`
+alone tests every divisor of every prefix: `_BlockSums` packs prefix
+sums at every letter once, and each test reads them at the cuts; past 64
+packed bits it calls the entry on the prefix instead.
 
 numpy is imported lazily (`_deferred_numpy`): the module is registered
 at import time but executed at its first attribute access, which is the
@@ -150,7 +158,7 @@ class Word:
 
 
 def parikh(w: Word) -> ParikhVector:
-    """Per-letter occurrence counts of w."""
+    """Per-letter occurrence counts of w: k entries, O(len(w) + k)."""
     counts = np.bincount(w.letters, minlength=w.alphabet_size)
     return tuple(int(c) for c in counts)
 
@@ -163,7 +171,8 @@ def _block_count_table(letters: np.ndarray, d: int, k: int) -> np.ndarray:
 
 
 def block_parikhs(w: Word, d: int) -> list[ParikhVector]:
-    """Parikh vectors of the consecutive length-d blocks of w, in order."""
+    """Parikh vectors of the consecutive length-d blocks of w, in order:
+    k entries per block, so O(len(w) + k·len(w)/d) time and memory."""
     if d < 1 or len(w) % d:
         raise ValueError(f"block length {d} must be >= 1 and divide {len(w)}")
     table = _block_count_table(w.letters, d, w.alphabet_size)
@@ -204,9 +213,9 @@ def _segment_counts(segment: np.ndarray, k: int):
 
 
 def _cuts_agree(letters: np.ndarray, lengths, k: int) -> list[int]:
-    """The lengths d, in the given order, whose length-d blocks of
-    `letters` all share one Parikh vector over k letters; each d must
-    divide letters.size.
+    """The cut counter: the lengths d, in the given order, whose length-d
+    blocks of `letters` all share one Parikh vector over k letters; each
+    d must divide letters.size.
 
     The blocks agree exactly when the prefix Parikh vector at each cut
     t·d is t times the first block's. The letters are counted once,
@@ -235,22 +244,19 @@ def _cuts_agree(letters: np.ndarray, lengths, k: int) -> list[int]:
 _SHORT_ROW = 24
 
 
-def _blocks_agree(letters: np.ndarray, d: int, k: int) -> bool:
-    """Do all length-d blocks of `letters` share one Parikh vector over
-    k letters? d must divide letters.size.
+def _table_agrees(letters: np.ndarray, d: int, k: int) -> bool:
+    """The block table: do all length-d blocks of `letters` share one
+    Parikh vector over k letters? d must divide letters.size.
 
-    Blocks of at least _CHUNK letters are few, and `_cuts_agree` counts
-    them in turn; wider alphabets than _NARROW compare sorted blocks.
-    Otherwise the letters form an (m/d, d) table and each letter c >= 1
-    is counted in every row at once (letter 0 follows from d), stopping
-    at the first letter whose counts differ: O(m) time, and about one
-    byte per letter of scratch.
+    Wider alphabets than _NARROW compare sorted blocks. Otherwise the
+    letters form an (m/d, d) table and each letter c >= 1 is counted in
+    every row at once (letter 0 follows from d), stopping at the first
+    letter whose counts differ: O(m) time, and about one byte per letter
+    of scratch.
     """
     if d == 1:
         # one pass with no scratch: blocks of one letter agree when all letters do
         return bool(letters.min() == letters.max())
-    if d >= _CHUNK:
-        return bool(_cuts_agree(letters, [d], k))
     if k > _NARROW:
         blocks = _sorted_blocks(letters, d)
         return bool((blocks[1:] == blocks[0]).all())
@@ -270,6 +276,34 @@ def _blocks_agree(letters: np.ndarray, d: int, k: int) -> bool:
     return True
 
 
+# Counting one segment takes about one numpy call per alphabet letter,
+# each worth what a pass over this many letters costs: a length d is
+# counted at its cuts when d >= _CUT_COST·k, so that its letters.size/d
+# cuts cost at most letters.size/_CUT_COST such passes.
+_CUT_COST = 512
+
+
+def _blocks_agree(letters: np.ndarray, lengths: list[int], k: int):
+    """Yield the lengths d, in the given order, whose length-d blocks of
+    `letters` all share one Parikh vector over k letters; each d must
+    divide letters.size. Every block test in the package comes here.
+
+    Fewer letters than k are first ranked to the letters present, so no
+    count is k wide. The lengths with d >= _CUT_COST·k are then counted
+    in one joint cut-counter pass, at the first `next`, and each other
+    length goes to the block table when it is reached: O(letters.size)
+    time and memory per length, whatever k is.
+    """
+    if letters.size < k:
+        present, ranks = np.unique(letters, return_inverse=True)
+        # narrow unsigned ranks: the table adds its columns in place
+        letters, k = ranks.astype(np.min_scalar_type(present.size - 1)), present.size
+    counted = _cuts_agree(letters, [d for d in lengths if d >= _CUT_COST * k], k)
+    for d in lengths:
+        if d in counted or d < _CUT_COST * k and _table_agrees(letters, d, k):
+            yield d
+
+
 class _BlockSums:
     """Exact block tests on every prefix of one word, built once per word
     for `root_profile`.
@@ -279,7 +313,7 @@ class _BlockSums:
     (k-1)*b <= 64, letter c > 0 weighs 2^(b*(c-1)), so a block of at
     most n/2 letters packs its counts into disjoint b-bit fields, a
     difference of prefix sums is its Parikh vector, exact even when the
-    sums wrap, and a test costs O(m/d). Past 64 bits each test runs
+    sums wrap, and a test costs O(m/d). Past 64 bits each test calls
     `_blocks_agree` on the length-m prefix, in O(m) time and memory
     whatever k is.
     """
@@ -300,7 +334,7 @@ class _BlockSums:
 
     def blocks_agree(self, m: int, d: int) -> bool:
         if self.sums is None:
-            return _blocks_agree(self.letters[:m], d, self.k)
+            return d in _blocks_agree(self.letters[:m], [d], self.k)
         ends = self.sums[d - 1 : m : d]
         return bool((ends[1:] - ends[:-1] == ends[0]).all())
 
@@ -314,6 +348,4 @@ def has_a_root_of_length(w: Word, d: int) -> bool:
     n = len(w)
     if d < 1 or d > n or n % d:
         raise ValueError(f"root length {d} must satisfy 1 <= d <= |w| and d | |w|")
-    if d == n:
-        return True
-    return _blocks_agree(w.letters, d, w.alphabet_size)
+    return d == n or d in _blocks_agree(w.letters, [d], w.alphabet_size)

@@ -5,14 +5,12 @@ equal-length blocks whose Parikh vectors all agree; it is A-primitive
 otherwise. The oracle tries every proper divisor of n. The production
 decider tests only the maximal proper divisors n/p, which suffices
 because an A-root of length d lifts to every multiple of d dividing n.
-Their blocks agree exactly when the prefix Parikh vector at each cut
-t·n/p is t/p of the word's. When those cuts, sum(p) of them, are few,
-the decider counts the word once between consecutive cuts in fixed-size
-chunks (the cut counter, `_cuts_agree`); otherwise it tests each n/p in
-turn on the block table (`has_a_root_of_length`). It never builds the
-prefix sums that `root_profile` keeps. A verdict costs O(n) time per
-length tested, at most one per prime factor of n, and O(n) memory
-whatever the alphabet size.
+It passes them all, in ascending p, to the block-test entry of
+`abelwords.parikh`, which counts the long ones in one pass at their
+cuts and tests the others on the block table, and takes the first that
+agrees. It never builds the prefix sums that `root_profile` keeps. A
+verdict costs O(n) time per length tested, at most one per prime factor
+of n, and O(n) memory whatever the alphabet size.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .numtheory import divisors, factorize
-from .parikh import Word, _cuts_agree, has_a_root_of_length
+from .parikh import Word, _blocks_agree, has_a_root_of_length
 
 
 @dataclass(frozen=True)
@@ -50,23 +48,12 @@ def is_a_primitive_oracle(w: Word) -> PrimitivityVerdict:
     return PrimitivityVerdict(True)
 
 
-# Counting one segment takes about one numpy call per alphabet letter,
-# each worth what a pass over this many letters costs: the decider
-# counts at its cuts when (number of cuts) * k * _CUT_COST <= n.
-_CUT_COST = 512
-
-
 def is_a_primitive(w: Word) -> PrimitivityVerdict:
-    """Test the maximal proper divisors n/p in ascending p, at their cuts
-    when those are few and one length at a time otherwise; the witness
+    """Test the maximal proper divisors n/p in ascending p; the witness
     is the largest of them that is an A-root."""
     n = _require_nonempty(w)
-    k, lengths = w.alphabet_size, [n // p for p in factorize(n).primes]
-    if sum(n // d for d in lengths) * k * _CUT_COST <= n:
-        roots = _cuts_agree(w.letters, lengths, k)
-    else:
-        roots = (d for d in lengths if has_a_root_of_length(w, d))
-    d = next(iter(roots), None)
+    lengths = [n // p for p in factorize(n).primes]
+    d = next(_blocks_agree(w.letters, lengths, w.alphabet_size), None)
     return PrimitivityVerdict(d is None, d)
 
 

@@ -66,10 +66,9 @@ def _check_pair(u: Word, x: Word, n: int) -> None:
 def _blocks_share_one_vector(u: Word, x: Word, n: int) -> bool:
     """Every length-n block of u and of x has one Parikh vector; n divides
     both lengths and neither word is empty. The first blocks are compared
-    over the larger alphabet, so words of different alphabet sizes relate
+    sorted, as letter values, so words of different alphabet sizes relate
     as their concatenation would."""
-    k = max(u.alphabet_size, x.alphabet_size)
-    first = [np.bincount(w.letters[:n], minlength=k) for w in (u, x)]
+    first = [_sorted_blocks(w.letters[:n], n) for w in (u, x)]
     return bool(np.array_equal(*first)) and all(has_a_root_of_length(w, n) for w in (u, x))
 
 
@@ -103,7 +102,7 @@ def _parts_agree(wit: CommutationWitness) -> bool:
     # parts are tested where they lie, and one row (r = 1) agrees with itself
     blocks = wit.ux.letters.reshape(wit.r, -1)
     return all(
-        _blocks_agree(part.ravel(), part.shape[1], wit.ux.alphabet_size)
+        part.shape[1] in _blocks_agree(part.ravel(), [part.shape[1]], wit.ux.alphabet_size)
         for part in (blocks[:, :wit.q], blocks[:, wit.q:])
         if part.size
     )

@@ -264,6 +264,16 @@ def test_count_env_budget_must_be_integer(cli, monkeypatch):
     assert "ABELWORDS_BUDGET" in err
 
 
+@pytest.mark.parametrize("argv", [["count", "--k", "2", "--n", "6"],
+                                  ["table", "--k", "2", "--max-n", "3"],
+                                  ["construct", "mword", "5"]])
+def test_negative_env_budget_is_a_usage_error(cli, monkeypatch, argv):
+    monkeypatch.setenv("ABELWORDS_BUDGET", "-1")
+    code, out, err = cli(argv)
+    assert (code, out) == (2, "")
+    assert "ABELWORDS_BUDGET" in err
+
+
 def test_table_matches_golden_bytes(cli):
     code, out, _ = cli(["table", "--k", "2", "--max-n", "20"])
     assert code == 0

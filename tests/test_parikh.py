@@ -17,7 +17,7 @@ from abelwords import (
     shared_root_check,
     sim_n,
 )
-from abelwords.parikh import _BlockSums, _cuts_agree
+from abelwords.parikh import _CUT_COST, _BlockSums, _blocks_agree, _cuts_agree
 from conftest import ref_has_root
 
 words = st.text(alphabet="abcd", min_size=1, max_size=40)
@@ -219,8 +219,10 @@ def test_packed_and_sorted_modes_agree():
         for letters in samples:
             packed = _BlockSums(Word(letters, k))
             # 70 + k letters need more than 64 bits packed at these
-            # lengths, and sort blocks; the same letters stored with
-            # k = 16 pass 64 bits from n = 60 on, and count them
+            # lengths, and sort blocks once the word has at least 70 + k
+            # letters (shorter words are ranked to the letters present
+            # first); the same letters stored with k = 16 pass 64 bits
+            # from n = 60 on, and count them
             wide = _BlockSums(Word(letters.astype(np.int64), 70 + k))
             narrow = _BlockSums(Word(letters, 16))
             assert packed.sums is not None and wide.sums is None
@@ -239,9 +241,12 @@ def _shuffled_power(rng, letters: np.ndarray, d: int) -> np.ndarray:
 
 def test_cut_counter_and_block_sums_agree():
     rng = np.random.default_rng(7)
-    # 720720 = 2^4·3^2·5·7·11·13: 41 cuts, few enough for k <= 26
+    # 720720 = 2^4·3^2·5·7·11·13: 41 cuts, few enough for k <= 26; at
+    # 6186 = 2·3·1031 and k = 2 the entry counts 3093 and 2062 at their
+    # cuts and tests 6 on the block table
     for n, k, lengths in [(720_720, k, [720_720 // p for p in (2, 3, 5, 7, 11, 13)])
-                          for k in (1, 2, 4, 5, 26)] + [(1 << 21, 2048, [1 << 20])]:
+                          for k in (1, 2, 4, 5, 26)] + [(1 << 21, 2048, [1 << 20]),
+                                                        (6186, 2, [3093, 2062, 6])]:
         dtype = np.uint8 if k <= 256 else np.int64
         base = [rng.integers(0, k, n).astype(dtype) for _ in range(2)]
         samples = base + [_shuffled_power(rng, base[0], d) for d in lengths]
@@ -257,6 +262,7 @@ def test_cut_counter_and_block_sums_agree():
                                               np.bincount(letters[:d], minlength=k))
                                for block in letters.reshape(-1, d))]
             assert _cuts_agree(letters, lengths, k) == expected, (n, k)
+            assert list(_blocks_agree(letters, lengths, k)) == expected, (n, k)
             sums = _BlockSums(w)
             assert [d for d in lengths if sums.blocks_agree(n, d)] == expected
             assert [d for d in lengths if has_a_root_of_length(w, d)] == expected
@@ -297,6 +303,22 @@ def test_wide_alphabet_memory_stays_linear():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 8 * 2**20, (run.__name__, peak)
+
+
+def test_block_tests_stay_linear_whatever_k():
+    # over k = 2^40 one count vector would take 8 TiB: the block tests
+    # rank the letters present, and the first blocks of a pair compare sorted
+    k = 2**40
+    rng = np.random.default_rng(13)
+    w = Word(rng.integers(0, k, 2**17), k)
+    block = rng.integers(0, k, 4)
+    u, x = (Word(_shuffled_power(rng, np.tile(block, 25), 4), k) for _ in range(2))
+    assert not has_a_root_of_length(w, 2**16) and is_a_primitive(w).is_a_primitive
+    assert sim_n(u, x, 4) and shared_root_check(u, x, 4) == x.prefix(4)
+    for run, *args in [(has_a_root_of_length, w, 2**16), (is_a_primitive, w),
+                       (root_profile, w), (sim_n, u, x, 4), (shared_root_check, u, x, 4)]:
+        peak = _peak_bytes(run, *args)
         assert peak < 8 * 2**20, (run.__name__, peak)
 
 
@@ -358,10 +380,11 @@ def _first_zero_made_top(letters: np.ndarray, block: int, d: int, k: int) -> np.
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 17, 26])
 def test_one_length_test_matches_reference(k):
     # d on both sides of every branch: the column sums below 24, the row
-    # sums, sorted blocks past 16 letters, and blocks counted one by one
-    # from 2^16 letters
+    # sums, sorted blocks past 16 letters, and the cut counter from
+    # _CUT_COST·k letters
     rng = np.random.default_rng(k)
-    for d in (1, 2, 23, 24, 31, 32, 1 << 15, 1 << 16, 3 << 15):
+    cut = _CUT_COST * k
+    for d in (1, 2, 23, 24, 31, 32, cut - 1, cut, 1 << 15, 1 << 16, 3 << 15):
         n = 3 << 16 if d >= 1 << 15 else 48 * d
         base = rng.integers(0, k, d).astype(np.uint8)
         base[0] = 0  # every block of the power has a letter 0 to change

@@ -141,10 +141,10 @@ def test_profile_matches_exhaustive_sweep(k, top):
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Counts block tests, the decider's included, and builds of `_BlockSums`."""
+    """Counts block tests, the decider's lengths included, and builds of `_BlockSums`."""
     calls = {"tests": 0, "dense": 0}
     agree, init = _BlockSums.blocks_agree, _BlockSums.__init__
-    cuts_agree, one_length = primitivity._cuts_agree, primitivity.has_a_root_of_length
+    entry = primitivity._blocks_agree
 
     def counted_agree(self, m, d):
         calls["tests"] += 1
@@ -154,18 +154,13 @@ def engine_calls(monkeypatch):
         calls["dense"] += 1
         init(self, w)
 
-    def counted_cuts(letters, lengths, k):
+    def counted_entry(letters, lengths, k):
         calls["tests"] += len(lengths)
-        return cuts_agree(letters, lengths, k)
-
-    def counted_one_length(w, d):
-        calls["tests"] += 1
-        return one_length(w, d)
+        return entry(letters, lengths, k)
 
     monkeypatch.setattr(_BlockSums, "blocks_agree", counted_agree)
     monkeypatch.setattr(_BlockSums, "__init__", counted_init)
-    monkeypatch.setattr(primitivity, "_cuts_agree", counted_cuts)
-    monkeypatch.setattr(primitivity, "has_a_root_of_length", counted_one_length)
+    monkeypatch.setattr(primitivity, "_blocks_agree", counted_entry)
     return calls
 
 
