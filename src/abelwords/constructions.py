@@ -73,7 +73,8 @@ class ConstructionSpec:
     def build(self, budget: int | None = None) -> Word:
         self.validate(budget)
         if self.family == "mword":
-            return m_word(self.parameter)
+            # validate has tested the primality that m_word would test again
+            return _aabb_ab_power(self.parameter - 2)
         if self.family == "multiroot":
             return multiroot_word(self.parameter)
         return antichain_word(self.parameter)

@@ -28,9 +28,12 @@ by one rule:
 The entry serves `has_a_root_of_length` (hence the oracle, `sim_n` and
 `shared_root_check`), the decider, which passes all its lengths n/p at
 once, and the column test of commutation witnesses. `root_profile`
-alone tests every divisor of every prefix: `_BlockSums` packs prefix
-sums at every letter once, and each test reads them at the cuts; past 64
-packed bits it calls the entry on the prefix instead.
+alone tests every divisor of every prefix, on one `_PrefixGrid` per
+word: an A-root length is a multiple of g = n / gcd(n, P(w)), because
+the number of blocks divides n and every letter count, so the grid
+holds the prefix Parikh vectors at the multiples of g, counted once on
+the (n/g, g) table with the block table's row counts, and each test
+reads them at its cuts.
 
 numpy is imported lazily (`_deferred_numpy`): the module is registered
 at import time but executed at its first attribute access, which is the
@@ -244,24 +247,12 @@ def _cuts_agree(letters: np.ndarray, lengths, k: int) -> list[int]:
 _SHORT_ROW = 24
 
 
-def _table_agrees(letters: np.ndarray, d: int, k: int) -> bool:
-    """The block table: do all length-d blocks of `letters` share one
-    Parikh vector over k letters? d must divide letters.size.
-
-    Wider alphabets than _NARROW compare sorted blocks. Otherwise the
-    letters form an (m/d, d) table and each letter c >= 1 is counted in
-    every row at once (letter 0 follows from d), stopping at the first
-    letter whose counts differ: O(m) time, and about one byte per letter
-    of scratch.
-    """
-    if d == 1:
-        # one pass with no scratch: blocks of one letter agree when all letters do
-        return bool(letters.min() == letters.max())
-    if k > _NARROW:
-        blocks = _sorted_blocks(letters, d)
-        return bool((blocks[1:] == blocks[0]).all())
-    table = letters.reshape(-1, d)
-    dtype = np.min_scalar_type(d)
+def _row_counts(letters: np.ndarray, d: int, k: int):
+    """Yield, for each letter c = 1, ..., k-1 in turn, its count in every
+    row of the (m/d, d) table of `letters`: rows shorter than _SHORT_ROW
+    add up their columns, longer ones reduce each row. Letter 0 follows
+    from d."""
+    table, dtype = letters.reshape(-1, d), np.min_scalar_type(d)
     for c in range(1, k):
         # a binary table holds the letter-1 indicators itself
         hits = table if k == 2 else table == c
@@ -269,11 +260,27 @@ def _table_agrees(letters: np.ndarray, d: int, k: int) -> bool:
             counts = hits[:, 0].astype(dtype)
             for j in range(1, d):
                 counts += hits[:, j]
+            yield counts
         else:
-            counts = hits.sum(axis=1, dtype=dtype)
-        if counts.min() != counts.max():
-            return False
-    return True
+            yield hits.sum(axis=1, dtype=dtype)
+
+
+def _table_agrees(letters: np.ndarray, d: int, k: int) -> bool:
+    """The block table: do all length-d blocks of `letters` share one
+    Parikh vector over k letters? d must divide letters.size.
+
+    Wider alphabets than _NARROW compare sorted blocks. Otherwise each
+    letter c >= 1 is counted in every row of the (m/d, d) table at once,
+    stopping at the first letter whose counts differ: O(m) time, and
+    about one byte per letter of scratch.
+    """
+    if d == 1:
+        # one pass with no scratch: blocks of one letter agree when all letters do
+        return bool(letters.min() == letters.max())
+    if k > _NARROW:
+        blocks = _sorted_blocks(letters, d)
+        return bool((blocks[1:] == blocks[0]).all())
+    return all(counts.min() == counts.max() for counts in _row_counts(letters, d, k))
 
 
 # Counting one segment takes about one numpy call per alphabet letter,
@@ -281,6 +288,14 @@ def _table_agrees(letters: np.ndarray, d: int, k: int) -> bool:
 # counted at its cuts when d >= _CUT_COST·k, so that its letters.size/d
 # cuts cost at most letters.size/_CUT_COST such passes.
 _CUT_COST = 512
+
+
+def _ranked(letters: np.ndarray):
+    """The letters ranked to the letters present, and how many are
+    present: no count over the ranks is wider than the word."""
+    present, ranks = np.unique(letters, return_inverse=True)
+    # narrow unsigned ranks: the table adds its columns in place
+    return ranks.astype(np.min_scalar_type(present.size - 1)), present.size
 
 
 def _blocks_agree(letters: np.ndarray, lengths: list[int], k: int):
@@ -294,48 +309,55 @@ def _blocks_agree(letters: np.ndarray, lengths: list[int], k: int):
     length goes to the block table when it is reached: O(letters.size)
     time and memory per length, whatever k is.
     """
-    if letters.size < k:
-        present, ranks = np.unique(letters, return_inverse=True)
-        # narrow unsigned ranks: the table adds its columns in place
-        letters, k = ranks.astype(np.min_scalar_type(present.size - 1)), present.size
+    letters, k = _ranked(letters) if letters.size < k else (letters, k)
     counted = _cuts_agree(letters, [d for d in lengths if d >= _CUT_COST * k], k)
     for d in lengths:
         if d in counted or d < _CUT_COST * k and _table_agrees(letters, d, k):
             yield d
 
 
-class _BlockSums:
-    """Exact block tests on every prefix of one word, built once per word
-    for `root_profile`.
+class _PrefixGrid:
+    """Prefix Parikh vectors of one word at the multiples of its step g,
+    built once per word for `root_profile`.
 
-    `blocks_agree(m, d)`: do all length-d blocks of the length-m prefix
-    share one Parikh vector (d divides m)? With b = bit_length(n//2) and
-    (k-1)*b <= 64, letter c > 0 weighs 2^(b*(c-1)), so a block of at
-    most n/2 letters packs its counts into disjoint b-bit fields, a
-    difference of prefix sums is its Parikh vector, exact even when the
-    sums wrap, and a test costs O(m/d). Past 64 bits each test calls
-    `_blocks_agree` on the length-m prefix, in O(m) time and memory
-    whatever k is.
+    A word with an A-root of length d is a power of n/d blocks, so n/d
+    divides n and every letter count: with g = n / gcd(n, P(w)), every
+    A-root length is a multiple of g, and so is every A-root length of a
+    prefix that is itself an A-root, whose g is the same. The letters
+    form an (n/g, g) table; each letter but letter 0 is counted in every
+    row, and the counts are summed down the rows. A word with absent
+    letters, a word shorter than k among them, is ranked as
+    `_blocks_agree` ranks one, so absent letters get no column; each
+    present letter occurs at least n/g times, so the grid holds at most
+    n counts whatever k is. A word with g = n has no proper A-root:
+    `sums` is built only when g < n.
+
+    `blocks_agree(m, d)`, for m = n or an A-root m of the word and d
+    dividing m: do all length-d blocks of the length-m prefix share one
+    Parikh vector? True when d = m, False when g does not divide d;
+    otherwise it compares the grid rows at d, 2d, ..., m, in O(m/d) per
+    counted letter.
     """
 
-    __slots__ = ("letters", "k", "sums")
-
     def __init__(self, w: Word):
-        n, k = len(w), w.alphabet_size
-        self.letters, self.k, self.sums = w.letters, k, None
-        bits = (n // 2).bit_length()
-        width = (k - 1) * bits
-        if width <= 64:
-            dtype = np.uint32 if width <= 32 else np.uint64
-            table = np.array([0] + [1 << (bits * (c - 1)) for c in range(1, k)], dtype=dtype)
-            # a binary word's letters are their own weights
-            weights = w.letters.astype(dtype) if k <= 2 else table[w.letters]
-            self.sums = np.cumsum(weights, out=weights)
+        letters, k, n = w.letters, w.alphabet_size, len(w)
+        # no count is k wide, and no column is an absent letter's
+        letters, k = _ranked(letters) if n < k else (letters, k)
+        if 0 in (counts := _segment_counts(letters, k)):
+            letters, k = _ranked(letters)
+        self.step = g = n // int(np.gcd.reduce(counts, initial=n))
+        if g < n:
+            # a unary word counts as binary, with no letter 1 in any row; the
+            # counts are summed in place, so no cast copies them on the way
+            rows = (_block_count_table(letters, g, k)[:, 1:] if k > _NARROW else np.stack(
+                [*_row_counts(letters, g, max(k, 2))], axis=1, dtype=np.min_scalar_type(n)))
+            self.sums = np.cumsum(rows, axis=0, out=rows)
 
     def blocks_agree(self, m: int, d: int) -> bool:
-        if self.sums is None:
-            return d in _blocks_agree(self.letters[:m], [d], self.k)
-        ends = self.sums[d - 1 : m : d]
+        if d % self.step or d == m:
+            # one block always agrees, a length off the step never does
+            return d == m
+        ends = self.sums[d // self.step - 1 : m // self.step : d // self.step]
         return bool((ends[1:] - ends[:-1] == ends[0]).all())
 
 

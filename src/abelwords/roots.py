@@ -9,6 +9,13 @@ skips d once some upper cover d·p is no root. A root that a smaller
 root divides is not A-primitive (its prefix has that root), so only the
 minimal roots get a prefix decision, and distinct A-primitive root
 lengths are always division-free.
+
+Every test reads one grid of prefix Parikh vectors, built once per word.
+An A-root of length d splits w into n/d blocks of one Parikh vector, so
+n/d divides n and every letter count: with g = n / gcd(n, P(w)), every
+A-root length is a multiple of g, and the grid holds the prefix vectors
+at the multiples of g alone. A root's prefix has the same g, so the
+same grid serves its tests, and a word with g = n has no proper A-root.
 """
 
 from __future__ import annotations
@@ -16,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .numtheory import divisors, factorize
-from .parikh import Word, _BlockSums
-from .primitivity import is_a_primitive
+from .parikh import Word, _PrefixGrid
 
 
 @dataclass(frozen=True)
@@ -32,19 +38,21 @@ def root_profile(w: Word) -> RootProfile:
     when every upper cover d·p (p prime) is |w| or an A-root; then decide
     the prefixes of the roots that no smaller root divides.
 
-    A word the decider finds A-primitive gets the empty profile without
-    building block sums; otherwise one set of them serves every test.
+    One prefix grid serves every test. A word whose step g = n / gcd(n,
+    P(w)) is n itself gets the empty profile without one; any other
+    A-primitive word fails its top layer, the n/p, and no lower divisor
+    is tested.
     """
     n = len(w)
     if n < 2:
         raise ValueError("root profiles need |w| >= 2: an Abelian power has at least 2 blocks")
-    if is_a_primitive(w).is_a_primitive:
+    grid = _PrefixGrid(w)
+    if grid.step == n:
         return RootProfile(n, (), ())
-    sums = _BlockSums(w)
     primes = factorize(n).primes
     found = {n}
     for d in reversed(divisors(n)[:-1]):
-        if all(d * p in found for p in primes if n % (d * p) == 0) and sums.blocks_agree(n, d):
+        if all(d * p in found for p in primes if n % (d * p) == 0) and grid.blocks_agree(n, d):
             found.add(d)
     roots = sorted(found - {n})
     # the lower covers d/p are the maximal divisors of the prefix: no
@@ -52,7 +60,7 @@ def root_profile(w: Word) -> RootProfile:
     # prefix is A-primitive exactly when none is a root of the prefix
     covers = {d: [d // p for p in primes if d % p == 0] for d in roots}
     prim = [d for d in roots if found.isdisjoint(covers[d])
-            and not any(sums.blocks_agree(d, c) for c in covers[d])]
+            and not any(grid.blocks_agree(d, c) for c in covers[d])]
     return RootProfile(n, tuple(roots), tuple(prim))
 
 

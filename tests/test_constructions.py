@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from abelwords import (
     is_a_primitive_linear,
     is_a_primitive_oracle,
     is_in_M,
+    is_prime,
     m_word,
     middle_antichain,
     multiples_closure,
@@ -131,6 +133,20 @@ def test_construction_spec_dispatch():
     assert ConstructionSpec("mword", 5).build().to_text() == "aabbababab"
     assert ConstructionSpec("multiroot", 2).build() == multiroot_word(2)
     assert ConstructionSpec("antichain", 30).build().to_text() == Z30
+
+
+def test_mword_spec_tests_primality_once(monkeypatch):
+    constructions = sys.modules["abelwords.constructions"]
+    calls = []
+
+    def counted_is_prime(p):
+        calls.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(constructions, "is_prime", counted_is_prime)
+    word = ConstructionSpec("mword", 7).build()
+    assert calls == [7]
+    assert word == m_word(7)
 
 
 def test_construction_spec_validation():

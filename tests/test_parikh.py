@@ -17,7 +17,7 @@ from abelwords import (
     shared_root_check,
     sim_n,
 )
-from abelwords.parikh import _CUT_COST, _BlockSums, _blocks_agree, _cuts_agree
+from abelwords.parikh import _CUT_COST, _PrefixGrid, _blocks_agree, _cuts_agree
 from conftest import ref_has_root
 
 words = st.text(alphabet="abcd", min_size=1, max_size=40)
@@ -208,29 +208,34 @@ def test_full_length_root_always_exists():
         assert has_a_root_of_length(w, len(s))
 
 
-def test_packed_and_sorted_modes_agree():
+def test_prefix_grid_modes_match_reference():
     rng = np.random.default_rng(42)
-    for n, k in ((12, 2), (60, 3), (2048, 4), (4100, 3)):
+    for n, k in ((12, 2), (60, 3), (2048, 4), (4100, 3), (720, 20), (2080, 26)):
         samples = [rng.integers(0, k, size=n).astype(np.uint8) for _ in range(6)]
         for block_len in (d for d in (1, 2, 4, n // 2) if n % d == 0):
             tiled = np.tile(rng.integers(0, k, size=block_len), n // block_len)
             samples.append(tiled.astype(np.uint8))
+        if n % (2 * k) == 0:
+            # every letter twice a block: the step is k, below the root length 2k
+            samples.append(_shuffled_power(rng, np.tile(np.arange(k, dtype=np.uint8), n // k),
+                                           2 * k))
         divs = [d for d in range(1, n + 1) if n % d == 0]
         for letters in samples:
-            packed = _BlockSums(Word(letters, k))
-            # 70 + k letters need more than 64 bits packed at these
-            # lengths, and sort blocks once the word has at least 70 + k
-            # letters (shorter words are ranked to the letters present
-            # first); the same letters stored with k = 16 pass 64 bits
-            # from n = 60 on, and count them
-            wide = _BlockSums(Word(letters.astype(np.int64), 70 + k))
-            narrow = _BlockSums(Word(letters, 16))
-            assert packed.sums is not None and wide.sums is None
-            assert (narrow.sums is None) == (n >= 60)
+            # stored over k, over 70 + k (absent letters are ranked away)
+            # and over 16; more than 16 letters present count rows by
+            # bincount, fewer by the block table's row counts. A grid
+            # tests the word itself and the prefixes that are its roots,
+            # so every other prefix gets a grid of its own
             for m in divs:
+                prefix = letters[:m]
+                grids = [_PrefixGrid(Word(prefix.astype(np.int64), 70 + k))]
+                grids += [_PrefixGrid(Word(prefix, j)) for j in {k, max(k, 16)}]
+                if m == n or ref_has_root(letters.tolist(), m):
+                    grids.append(_PrefixGrid(Word(letters, k)))
                 for d in (d for d in divs if m % d == 0):
-                    agree = packed.blocks_agree(m, d)
-                    assert agree == wide.blocks_agree(m, d) == narrow.blocks_agree(m, d)
+                    expected = ref_has_root(prefix.tolist(), d)
+                    assert [g.blocks_agree(m, d) for g in grids] == [expected] * len(grids), (
+                        n, k, m, d)
 
 
 def _shuffled_power(rng, letters: np.ndarray, d: int) -> np.ndarray:
@@ -263,8 +268,8 @@ def test_cut_counter_and_block_sums_agree():
                                for block in letters.reshape(-1, d))]
             assert _cuts_agree(letters, lengths, k) == expected, (n, k)
             assert list(_blocks_agree(letters, lengths, k)) == expected, (n, k)
-            sums = _BlockSums(w)
-            assert [d for d in lengths if sums.blocks_agree(n, d)] == expected
+            grid = _PrefixGrid(w)
+            assert [d for d in lengths if grid.blocks_agree(n, d)] == expected
             assert [d for d in lengths if has_a_root_of_length(w, d)] == expected
             assert is_a_primitive(w).witness_root_length == next(iter(expected), None)
 
@@ -400,20 +405,21 @@ def test_one_length_test_matches_reference(k):
 
 
 @pytest.fixture
-def block_sums_built(monkeypatch):
-    """Lengths of the words that `_BlockSums` is built on."""
+def grids_built(monkeypatch):
+    """Lengths of the words that a `_PrefixGrid`, the prefix sums of
+    block counts that `root_profile` reads, is built on."""
     built = []
-    init = _BlockSums.__init__
+    init = _PrefixGrid.__init__
 
     def counted_init(self, w):
         built.append(len(w))
         init(self, w)
 
-    monkeypatch.setattr(_BlockSums, "__init__", counted_init)
+    monkeypatch.setattr(_PrefixGrid, "__init__", counted_init)
     return built
 
 
-def test_one_length_tests_build_no_block_sums(block_sums_built):
+def test_one_length_tests_build_no_block_sums(grids_built):
     n = 1000
     rng = np.random.default_rng(11)
     power = _shuffled_power(rng, rng.integers(0, 3, 400_000).astype(np.uint8), n)
@@ -423,7 +429,7 @@ def test_one_length_tests_build_no_block_sums(block_sums_built):
     assert commute_check(u, x, n) is not None
     # the decider that shared_root_check runs on u's prefix builds none either
     assert shared_root_check(u, x, n) == x.prefix(n)
-    assert block_sums_built == []
+    assert grids_built == []
 
 
 def test_one_length_test_memory_does_not_grow_per_letter():

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from abelwords import (
     root_profile,
 )
 from abelwords import primitivity
-from abelwords.parikh import _BlockSums
+from abelwords.parikh import _PrefixGrid
 from conftest import (
     ref_a_primitive,
     ref_a_root_lengths,
@@ -141,38 +143,43 @@ def test_profile_matches_exhaustive_sweep(k, top):
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Counts block tests, the decider's lengths included, and builds of `_BlockSums`."""
-    calls = {"tests": 0, "dense": 0}
-    agree, init = _BlockSums.blocks_agree, _BlockSums.__init__
-    entry = primitivity._blocks_agree
+    """Counts the grid's block tests, and the lengths passed to the
+    block-test entry that the decider and one-length tests call."""
+    calls = {"tests": 0, "entry": 0}
+    agree = _PrefixGrid.blocks_agree
+    parikh_module = sys.modules["abelwords.parikh"]
+    entry = parikh_module._blocks_agree
 
     def counted_agree(self, m, d):
         calls["tests"] += 1
         return agree(self, m, d)
 
-    def counted_init(self, w):
-        calls["dense"] += 1
-        init(self, w)
-
     def counted_entry(letters, lengths, k):
-        calls["tests"] += len(lengths)
+        calls["entry"] += len(lengths)
         return entry(letters, lengths, k)
 
-    monkeypatch.setattr(_BlockSums, "blocks_agree", counted_agree)
-    monkeypatch.setattr(_BlockSums, "__init__", counted_init)
+    monkeypatch.setattr(_PrefixGrid, "blocks_agree", counted_agree)
+    monkeypatch.setattr(parikh_module, "_blocks_agree", counted_entry)
     monkeypatch.setattr(primitivity, "_blocks_agree", counted_entry)
     return calls
 
 
 @pytest.mark.parametrize("k, n", [(3, 720_720), (4, 6_291_456)])
-def test_a_primitive_word_needs_only_the_decider(engine_calls, k, n):
-    # a random word of either length is A-primitive; the k=4 one has
-    # packed counts wider than 64 bits, where dense tests run the block table
+def test_a_primitive_word_tests_only_its_top_layer(engine_calls, k, n):
+    # a random word of either length is A-primitive: it is tested at most
+    # at the n/p, neither the decider nor the block-test entry runs, and
+    # the profile takes no copy of the word, let alone sums at every letter
     w = Word(np.random.default_rng([k, n]).integers(0, k, n, dtype=np.uint8), k)
-    p = root_profile(w)
+    tracemalloc.start()
+    try:
+        p = root_profile(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (p.a_root_lengths, p.a_primitive_root_lengths) == ((), ())
+    assert peak < 2**18, peak
     assert engine_calls["tests"] <= len(factorize(n).primes)
-    assert engine_calls["dense"] == 0
+    assert engine_calls["entry"] == 0
 
 
 def test_power_of_a_block_tests_few_divisors(engine_calls):
@@ -183,7 +190,47 @@ def test_power_of_a_block_tests_few_divisors(engine_calls):
     p = root_profile(w)
     assert p.a_root_lengths == tuple(d for d in range(8, n, 8) if n % d == 0)
     assert p.a_primitive_root_lengths == (8,)
-    # 191 proper divisors, 47 of them roots: the decider's cut counter
-    # takes the six n/p, the walk tests the roots and n/2, and only the
-    # 8-prefix is decided
-    assert engine_calls["tests"] < 60, engine_calls
+    # 191 proper divisors, 47 of them roots: the walk tests the roots,
+    # the n/p and the lower covers of roots, and only the 8-prefix is
+    # decided, on the same grid
+    assert engine_calls["tests"] + engine_calls["entry"] < 60, engine_calls
+    assert engine_calls["entry"] == 0
+
+
+@pytest.mark.parametrize("k, top", [(2, 12), (3, 8)])
+def test_root_lengths_are_multiples_of_the_step(k, top):
+    # an A-root of length d makes n/d divide n and every letter count, so
+    # d is a multiple of the step n / gcd(n, P(w)) that root_profile's
+    # grid rests on; checked on the independent sweep's masks
+    for n in range(2, top + 1):
+        words = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.uint8)
+        counts = np.stack([(words == c).sum(axis=1) for c in range(k)], axis=1)
+        steps = n // np.gcd(n, np.gcd.reduce(counts, axis=1))
+        for lo, roots, prim_roots in sweep_root_profiles(k, n):
+            off_step = {d: d % steps[lo : lo + roots[d].size] != 0 for d in roots}
+            assert not any((roots[d] & off_step[d]).any() for d in roots), n
+            assert not any((prim_roots[d] & off_step[d]).any() for d in roots), n
+
+
+@pytest.mark.parametrize("k, block, n", [
+    # a k = 26 power whose block holds each letter twice: the step is 26
+    (26, np.repeat(np.arange(26), 2), 288_288),
+    # eight letters over k = 2^40: the letters are ranked once per word
+    (2**40, np.array([0, 1, 5, 77, 12_345, 3**20, 2**39, 2**40 - 1]), 2**17),
+    # eight letters over k = 1000 < n: the absent letters get no column
+    (1000, np.array([0, 1, 5, 77, 345, 512, 998, 999]), 2**17),
+], ids=["k26", "k2^40", "k1000"])
+def test_wide_alphabet_power_profile(k, block, n):
+    rng = np.random.default_rng(9)
+    copies = rng.permuted(np.tile(block, n // block.size - 1).reshape(-1, block.size), axis=1)
+    # the first block is sorted, so A-primitive; every later one is shuffled
+    w = Word(np.concatenate([block, copies.ravel()]), k)
+    tracemalloc.start()
+    try:
+        p = root_profile(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.a_root_lengths == tuple(d for d in range(block.size, n, block.size) if n % d == 0)
+    assert p.a_primitive_root_lengths == (block.size,)
+    assert peak < 8 * 2**20, peak
