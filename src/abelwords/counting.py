@@ -1,23 +1,25 @@
 """Exact counts of primitive and Abelian-primitive words.
 
 Each count runs one inclusion-exclusion over the nonempty sets S of the
-primes dividing n, from one factorization of n. psi counts classically
-primitive words: a word is a power exactly when it is a p-th power for
-some prime p, and the words that are a p-th power for every p in S are
-the k**(n/prod S) (prod S)-th powers. psi_a counts A-primitive words: a
-word is an Abelian power exactly when it has an A-root of some length
-n/p, and the words with an A-root at every n/p for p in S are counted
-per Parikh vector as a product of multinomials. At n = 1 and prime n,
-psi_a = psi, whose sum has at most one term. An explicit budget on the
-size of k**n and on the number of multinomial factors guards against
-runaway runs; both are checked before k**n is evaluated. A row (n, psi,
-psi_a, delta), which psi_a, delta, count_table and the CLI's count
-read, is built in one place: n is factorized once, its terms are listed
-once, and k**n is evaluated once for both sums. psi alone keeps its own
-path, with no budget. delta = psi - psi_a is zero at primes and has a
-closed form at prime powers (delta_prime_power), which is the |S| = 1
-case of the sum; it keeps its own loop, as an independent check of
-psi_a.
+primes dividing n, from one factorization of n; L = prod(S). psi counts
+classically primitive words: a word is a power exactly when it is a
+p-th power for some prime p, and the words that are a p-th power for
+every p in S are the k**(n/L) L-th powers. delta = psi - psi_a counts
+the Abelian powers that are not powers: a word is an Abelian power
+exactly when it has an A-root of some length n/p, and the words with an
+A-root at every n/p for p in S are counted per Parikh vector as a
+product of multinomials. So delta sums, term by term, those words less
+the k**(n/L) L-th powers among them, and psi_a = psi - delta. A term
+with n/L = 1 adds nothing, since both are the k unary words: n = 1 has
+no term and a prime n only that one, so their delta is 0 with no
+branch. An explicit budget on the size of k**n and on the number of
+multinomial factors guards against runaway runs; both are checked
+before k**n is evaluated. A row (n, psi, psi_a, delta), which psi_a,
+delta, count_table and the CLI's count read, is built in one place: n
+is factorized once and its terms are listed once. psi alone keeps its
+own path, with no budget. At prime powers delta has a closed form
+(delta_prime_power), the single |S| = 1 term; it keeps its own loop, as
+an independent check of psi_a.
 
 All counts are exact unbounded integers.
 """
@@ -113,9 +115,14 @@ def _count_row(k: int, n: int, budget: int | None) -> CountRow:
     the CLI's count read; no other code builds a CountRow.
 
     In order: validate k and n, check the size of k**n, answer k = 1,
-    factorize n and list its terms once, answer n = 1 and prime n, check
-    the cost, and only then evaluate k**n, once, for both sums. So a
-    refusal never pays for k**n, and an oversized n is never factorized.
+    factorize n and list its terms once, check the cost, and only then
+    evaluate k**n, once, for psi. delta is summed term by term: the term
+    (sign, n/L, S) adds sign * (words with an A-root at every n/p for p
+    in S, minus the k**(n/L) L-th powers). At n/L = 1 both are the k
+    unary words, so only terms with n/L > 1 are costed and summed; n = 1
+    has no term and a prime n only one with n/L = 1, so their rows cost
+    0 and sum nothing. A refusal never pays for k**n, and an oversized n
+    is never factorized.
     """
     if k < 1 or n < 1:
         raise ValueError("psi_a requires k >= 1 and n >= 1")
@@ -130,38 +137,35 @@ def _count_row(k: int, n: int, budget: int | None) -> CountRow:
     if k == 1:
         one = int(n == 1)
         return CountRow(n, one, one, 0)
-    primes = factorize(n).primes
-    terms = list(_inclusion_exclusion(n, primes))
-    if primes in ((), (n,)):
-        full = _psi(k, k ** n, terms)
-        return CountRow(n, full, full, 0)
+    terms = list(_inclusion_exclusion(n, factorize(n).primes))
+    summed = [(sign, unit, s) for sign, unit, s in terms if unit > 1]
     cost = n * sum(
-        math.comb(unit + k - 1, k - 1) * (sum(s) - len(s) + 1) for _, unit, s in terms
+        math.comb(unit + k - 1, k - 1) * (sum(s) - len(s) + 1) for _, unit, s in summed
     )
     if cost > limit:
         raise EnumerationBudgetError(
             f"counting A-primitive words over {k} letters at n={n} costs {cost} "
             f"(multinomial factors times n), over the budget of {limit}"
         )
-    power = k ** n
-    full = _psi(k, power, terms)
-    part = power - sum(sign * _words_with_roots(k, unit, s) for sign, unit, s in terms)
-    return CountRow(n, full, part, full - part)
+    full = _psi(k, k ** n, terms)
+    gap = sum(sign * (_words_with_roots(k, unit, s) - k ** unit) for sign, unit, s in summed)
+    return CountRow(n, full, full - gap, gap)
 
 
 def psi_a(k: int, n: int, *, budget: int | None = None) -> int:
-    """Number of A-primitive length-n words over k letters.
+    """Number of A-primitive length-n words over k letters, psi - delta.
 
     First the size of k**n, n letters of bit_length(k-1) bits in 64-bit
     words, is checked against the budget, and k = 1 answers, before n is
-    factorized. n = 1 and prime n, told apart by that factorization, use
-    the identity psi_a = psi. Otherwise the Abelian powers are counted by
-    inclusion-exclusion over the sets S of maximal divisors n/p. Each set
-    sums over the C(n/L+k-1, k-1) Parikh vectors with entries divisible
-    by L = prod(S), with one multinomial factor per segment; before any
-    term is evaluated, the total factor count times n is checked against
-    the budget. Either check raises EnumerationBudgetError when it is
-    over.
+    factorized. delta, the Abelian powers that are not powers, is then
+    counted by inclusion-exclusion over the sets S of maximal divisors
+    n/p: each set with n/L > 1, L = prod(S), sums over the
+    C(n/L+k-1, k-1) Parikh vectors with entries divisible by L, with one
+    multinomial factor per segment, less the k**(n/L) L-th powers. Sets
+    with n/L = 1 add nothing, so at n = 1 and prime n, psi_a = psi.
+    Before any term is evaluated, the total factor count times n is
+    checked against the budget. Either check raises
+    EnumerationBudgetError when it is over.
     """
     return _count_row(k, n, budget).psi_a
 
@@ -196,7 +200,9 @@ def delta_prime_power(k: int, p: int, r: int) -> int:
     Sums over all ordered k-tuples (n_1, ..., n_k) of nonnegative
     integers adding to p**(r-1): each tuple is a Parikh vector, C is the
     multinomial count of words with that vector, and the tuple
-    contributes C * (C**(p-1) - 1).
+    contributes C * (C**(p-1) - 1). Summed, this is the single |S| = 1
+    term of delta: the words with an A-root of length p**(r-1), less the
+    k**(p**(r-1)) p-th powers.
     """
     if k < 1:
         raise ValueError("delta_prime_power requires k >= 1")

@@ -170,7 +170,8 @@ def _block_count_table(letters: np.ndarray, d: int, k: int) -> np.ndarray:
     """Per-block letter counts as an (n/d, k) int64 table."""
     nblocks = letters.size // d
     tags = np.repeat(np.arange(nblocks, dtype=np.int64) * k, d)
-    return np.bincount(tags + letters, minlength=nblocks * k).reshape(nblocks, k)
+    tags += letters  # in place, so no second int64 array of n tags
+    return np.bincount(tags, minlength=nblocks * k).reshape(nblocks, k)
 
 
 def block_parikhs(w: Word, d: int) -> list[ParikhVector]:

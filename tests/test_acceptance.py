@@ -5,7 +5,7 @@ PASS/FAIL line per criterion (see conftest). The reference counts below
 are frozen known values the counting functions must reproduce exactly.
 """
 
-import math
+import statistics
 import time
 
 import numpy as np
@@ -198,20 +198,29 @@ def test_criterion_8_linear_scaling():
     best = min(_timed_runs(unary, 3))
     assert best < 2.0, f"10^7-letter word took {best:.3f}s"
 
-    # the best of 15 runs per size, the sizes taking turns: a call takes
-    # 0.06-0.5 ms, so a mean, or one size's runs back to back, would carry
-    # a burst of the host's memory timing noise into the ratio
+    # every sample spends the same 2^23 letters, in 8 calls at 2^20 down
+    # to 1 call at 2^23, and the sizes take turns; the median of 15 rounds
+    # per size keeps a burst of the host's memory timing noise out of the
+    # ratio, where one call of 0.06-0.5 ms, or one size's runs back to
+    # back, would carry it in. A fresh array reads slower for its first
+    # few passes, so each sample follows one untimed call
     words = {}
     for e in (20, 21, 22, 23):
         letters = np.zeros(1 << e, dtype=np.uint8)
         letters[-1] = 1
         words[e] = Word(letters, 2)
-    fastest = {e: math.inf for e in words}
+    samples = {e: [] for e in words}
     for _ in range(15):
         for e, w in words.items():
-            fastest[e] = min(fastest[e], *_timed_runs(w, 1))
+            is_a_primitive_linear(w)
+            calls = 1 << (23 - e)
+            t = time.perf_counter()
+            for _ in range(calls):
+                is_a_primitive_linear(w)
+            samples[e].append((time.perf_counter() - t) / calls)
+    per_call = {e: statistics.median(times) for e, times in samples.items()}
     for e in (20, 21, 22):
-        ratio = fastest[e + 1] / fastest[e]
+        ratio = per_call[e + 1] / per_call[e]
         assert 1.5 <= ratio <= 3.0, f"2^{e+1}/2^{e} ratio {ratio:.2f}"
 
 

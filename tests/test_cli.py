@@ -281,7 +281,7 @@ def test_table_matches_golden_bytes(cli):
 
 
 def test_table_skip_notes_go_to_stderr(cli, monkeypatch):
-    # costs at k=2: n=4 is 24, n=6 is 150, n=8 is 80
+    # costs at k=2: n=4 is 24, n=6 is 102, n=8 is 80
     monkeypatch.setenv("ABELWORDS_BUDGET", "50")
     code, out, err = cli(["table", "--k", "2", "--max-n", "8"])
     assert code == 0

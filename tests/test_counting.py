@@ -138,6 +138,12 @@ def test_budget_error_names_the_numbers():
     # 21*2 + 9*5 + 5*6 = 117 multinomial factors, times n = 40
     assert "1000" in msg
     assert "4680" in msg
+    # n = 6 has the prime sets {2}, {3}, {2, 3} with n/L = 3, 2, 1; at
+    # n/L = 1 both counts are the two unary words, so that term is neither
+    # summed nor costed: (4*2 + 3*3) * 6 = 102
+    assert psi_a(2, 6, budget=102) == 36
+    with pytest.raises(EnumerationBudgetError, match="costs 102 "):
+        psi_a(2, 6, budget=101)
 
 
 def test_default_budget_blocks_huge_enumerations(capsys):
