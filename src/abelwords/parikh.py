@@ -31,9 +31,10 @@ once, and the column test of commutation witnesses. `root_profile`
 alone tests every divisor of every prefix, on one `_PrefixGrid` per
 word: an A-root length is a multiple of g = n / gcd(n, P(w)), because
 the number of blocks divides n and every letter count, so the grid
-holds the prefix Parikh vectors at the multiples of g, counted once on
-the (n/g, g) table with the block table's row counts, and each test
-reads them at its cuts.
+marks, one byte per multiple c of g, whether the prefix Parikh vector
+at c misses its share (c/n)·P(w), counted once on the (n/g, g) table
+with the block table's row counts. The blocks of a test agree exactly
+when none of its cuts is marked, so each test is one strided read.
 
 numpy is imported lazily (`_deferred_numpy`): the module is registered
 at import time but executed at its first attribute access, which is the
@@ -176,9 +177,16 @@ def _block_count_table(letters: np.ndarray, d: int, k: int) -> np.ndarray:
 
 def block_parikhs(w: Word, d: int) -> list[ParikhVector]:
     """Parikh vectors of the consecutive length-d blocks of w, in order:
-    k entries per block, so O(len(w) + k·len(w)/d) time and memory."""
+    k entries per block, so O(len(w) + k·len(w)/d) time and memory.
+
+    Raises ValueError for alphabets over 2^32 letters, stored as uint64,
+    before anything is allocated: each block would list over 2^32 counts.
+    """
     if d < 1 or len(w) % d:
         raise ValueError(f"block length {d} must be >= 1 and divide {len(w)}")
+    if w.alphabet_size > 2**32:
+        raise ValueError(f"block_parikhs lists k counts per block, and k = {w.alphabet_size} "
+                         "is over 2**32")
     table = _block_count_table(w.letters, d, w.alphabet_size)
     return [tuple(int(c) for c in row) for row in table]
 
@@ -248,12 +256,12 @@ def _cuts_agree(letters: np.ndarray, lengths, k: int) -> list[int]:
 _SHORT_ROW = 24
 
 
-def _row_counts(letters: np.ndarray, d: int, k: int):
+def _row_counts(letters: np.ndarray, d: int, k: int, dtype):
     """Yield, for each letter c = 1, ..., k-1 in turn, its count in every
-    row of the (m/d, d) table of `letters`: rows shorter than _SHORT_ROW
-    add up their columns, longer ones reduce each row. Letter 0 follows
-    from d."""
-    table, dtype = letters.reshape(-1, d), np.min_scalar_type(d)
+    row of the (m/d, d) table of `letters`, as a new array of `dtype`:
+    rows shorter than _SHORT_ROW add up their columns, longer ones reduce
+    each row. Letter 0 follows from d."""
+    table = letters.reshape(-1, d)
     for c in range(1, k):
         # a binary table holds the letter-1 indicators itself
         hits = table if k == 2 else table == c
@@ -281,7 +289,8 @@ def _table_agrees(letters: np.ndarray, d: int, k: int) -> bool:
     if k > _NARROW:
         blocks = _sorted_blocks(letters, d)
         return bool((blocks[1:] == blocks[0]).all())
-    return all(counts.min() == counts.max() for counts in _row_counts(letters, d, k))
+    rows = _row_counts(letters, d, k, np.min_scalar_type(d))
+    return all(counts.min() == counts.max() for counts in rows)
 
 
 # Counting one segment takes about one numpy call per alphabet letter,
@@ -318,26 +327,30 @@ def _blocks_agree(letters: np.ndarray, lengths: list[int], k: int):
 
 
 class _PrefixGrid:
-    """Prefix Parikh vectors of one word at the multiples of its step g,
-    built once per word for `root_profile`.
+    """The good cuts of one word at the multiples of its step g, one byte
+    per cut, built once per word for `root_profile`.
 
     A word with an A-root of length d is a power of n/d blocks, so n/d
     divides n and every letter count: with g = n / gcd(n, P(w)), every
     A-root length is a multiple of g, and so is every A-root length of a
-    prefix that is itself an A-root, whose g is the same. The letters
-    form an (n/g, g) table; each letter but letter 0 is counted in every
-    row, and the counts are summed down the rows. A word with absent
-    letters, a word shorter than k among them, is ranked as
-    `_blocks_agree` ranks one, so absent letters get no column; each
-    present letter occurs at least n/g times, so the grid holds at most
-    n counts whatever k is. A word with g = n has no proper A-root:
-    `sums` is built only when g < n.
+    prefix that is itself an A-root, whose g is the same. A cut c = i·g
+    is good when its prefix Parikh vector is (c/n)·P(w). The letters form
+    an (n/g, g) table; for each letter but letter 0 in turn, its count in
+    every row, less its share u = count·g/n (an integer, since n/g
+    divides every count), is summed down the rows, which leaves the
+    prefix's deviation from its share at each cut, and `bad` marks the
+    cuts where any letter deviates. A word with absent letters, a word
+    shorter than k among them, is ranked as `_blocks_agree` ranks one,
+    so absent letters get no row counts, and a unary word has none: each
+    of its cuts is good. A word with g = n has no proper A-root: `bad` is
+    built only when g < n.
 
     `blocks_agree(m, d)`, for m = n or an A-root m of the word and d
     dividing m: do all length-d blocks of the length-m prefix share one
-    Parikh vector? True when d = m, False when g does not divide d;
-    otherwise it compares the grid rows at d, 2d, ..., m, in O(m/d) per
-    counted letter.
+    Parikh vector? They do exactly when every cut d, 2d, ..., m is good,
+    since the length-m prefix of a root has vector (m/n)·P(w). True when
+    d = m, False when g does not divide d; otherwise one strided read of
+    m/d bytes of `bad`.
     """
 
     def __init__(self, w: Word):
@@ -346,20 +359,26 @@ class _PrefixGrid:
         letters, k = _ranked(letters) if n < k else (letters, k)
         if 0 in (counts := _segment_counts(letters, k)):
             letters, k = _ranked(letters)
+            counts = [c for c in counts if c]
         self.step = g = n // int(np.gcd.reduce(counts, initial=n))
         if g < n:
-            # a unary word counts as binary, with no letter 1 in any row; the
-            # counts are summed in place, so no cast copies them on the way
-            rows = (_block_count_table(letters, g, k)[:, 1:] if k > _NARROW else np.stack(
-                [*_row_counts(letters, g, max(k, 2))], axis=1, dtype=np.min_scalar_type(n)))
-            self.sums = np.cumsum(rows, axis=0, out=rows)
+            # each letter's row counts, in n's unsigned type (int64 past
+            # _NARROW letters): a prefix deviation lies within n of 0, so
+            # wraparound is exact
+            columns = (_block_count_table(letters, g, k).T[1:] if k > _NARROW
+                       else _row_counts(letters, g, k, np.min_scalar_type(n)))
+            self.bad = np.zeros(n // g, dtype=bool)
+            for count, column in zip(counts[1:], columns):
+                # each row minus the letter's share, summed down the rows:
+                # the deviation of the prefix at each cut
+                column -= int(count) // (n // g)
+                np.logical_or(self.bad, np.cumsum(column, out=column), out=self.bad)
 
     def blocks_agree(self, m: int, d: int) -> bool:
         if d % self.step or d == m:
             # one block always agrees, a length off the step never does
             return d == m
-        ends = self.sums[d // self.step - 1 : m // self.step : d // self.step]
-        return bool((ends[1:] - ends[:-1] == ends[0]).all())
+        return not self.bad[d // self.step - 1 : m // self.step : d // self.step].any()
 
 
 def has_a_root_of_length(w: Word, d: int) -> bool:

@@ -8,9 +8,9 @@ because an A-root of length d lifts to every multiple of d dividing n.
 It passes them all, in ascending p, to the block-test entry of
 `abelwords.parikh`, which counts the long ones in one pass at their
 cuts and tests the others on the block table, and takes the first that
-agrees. It never builds the prefix grid that `root_profile` reads. A
-verdict costs O(n) time per length tested, at most one per prime factor
-of n, and O(n) memory whatever the alphabet size.
+agrees. It never builds the grid of good cuts that `root_profile`
+reads. A verdict costs O(n) time per length tested, at most one per
+prime factor of n, and O(n) memory whatever the alphabet size.
 """
 
 from __future__ import annotations

@@ -10,12 +10,16 @@ root divides is not A-primitive (its prefix has that root), so only the
 minimal roots get a prefix decision, and distinct A-primitive root
 lengths are always division-free.
 
-Every test reads one grid of prefix Parikh vectors, built once per word.
-An A-root of length d splits w into n/d blocks of one Parikh vector, so
-n/d divides n and every letter count: with g = n / gcd(n, P(w)), every
-A-root length is a multiple of g, and the grid holds the prefix vectors
-at the multiples of g alone. A root's prefix has the same g, so the
-same grid serves its tests, and a word with g = n has no proper A-root.
+Every test reads one grid of good cuts, built once per word. An A-root
+of length d splits w into n/d blocks of one Parikh vector, so n/d
+divides n and every letter count: with g = n / gcd(n, P(w)), every
+A-root length is a multiple of g. The grid keeps one byte per multiple
+c of g, which marks c bad when the prefix Parikh vector at c is not
+(c/n)·P(w). The length-d blocks of w agree exactly when the cuts d, 2d,
+..., n are all good, so a test is one strided read. A root of length m
+has prefix vector (m/n)·P(w), so its blocks of length d agree exactly
+when the cuts d, 2d, ..., m are good: the same grid decides its prefix,
+and a word with g = n has no proper A-root.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ def root_profile(w: Word) -> RootProfile:
     when every upper cover d·p (p prime) is |w| or an A-root; then decide
     the prefixes of the roots that no smaller root divides.
 
-    One prefix grid serves every test. A word whose step g = n / gcd(n,
-    P(w)) is n itself gets the empty profile without one; any other
-    A-primitive word fails its top layer, the n/p, and no lower divisor
-    is tested.
+    One grid of good cuts serves every test. A word whose step
+    g = n / gcd(n, P(w)) is n itself gets the empty profile without one;
+    any other A-primitive word fails its top layer, the n/p, and no lower
+    divisor is tested.
     """
     n = len(w)
     if n < 2:

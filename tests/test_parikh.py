@@ -18,7 +18,7 @@ from abelwords import (
     sim_n,
 )
 from abelwords.parikh import _CUT_COST, _PrefixGrid, _blocks_agree, _cuts_agree
-from conftest import ref_has_root
+from conftest import ref_a_primitive, ref_a_root_lengths, ref_has_root
 
 words = st.text(alphabet="abcd", min_size=1, max_size=40)
 
@@ -183,6 +183,20 @@ def test_block_parikhs_matches_slices():
         block_parikhs(w, 0)
 
 
+def test_block_parikhs_refuses_uint64_words_before_allocating():
+    # over 2^32 letters a word is stored as uint64, and each of its blocks
+    # would list more than 2^32 counts
+    w = Word([0, 1, 2**40, 3], 2**41)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"k = {2**41} is over 2"):
+            block_parikhs(w, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+
+
 # ----------------------------------------------------- has_a_root_of_length
 
 
@@ -236,6 +250,37 @@ def test_prefix_grid_modes_match_reference():
                     expected = ref_has_root(prefix.tolist(), d)
                     assert [g.blocks_agree(m, d) for g in grids] == [expected] * len(grids), (
                         n, k, m, d)
+
+
+@pytest.mark.parametrize("n", [255, 256, 65_535, 65_536])
+def test_prefix_grid_wraps_exactly_where_its_type_widens(n):
+    # the grid sums each letter's deviation from its share in
+    # np.min_scalar_type(n), unsigned: uint8 up to n = 255, uint16 up to
+    # 65,535 and uint32 beyond. Runs of one letter, as in a^(n/2) b^(n/2),
+    # wrap the deviations below zero and make them large, up to n/4
+    assert np.min_scalar_type(n).itemsize == (1 if n < 256 else 2 if n < 65_536 else 4)
+    def runs(d, k):
+        # k runs of near-equal lengths: letter c fills [c·d/k, (c+1)·d/k)
+        return (np.arange(d) * k // d).astype(np.uint8)
+
+    rng = np.random.default_rng(n)
+    primes = [p for p in (2, 3, 5, 17, 257) if n % p == 0]
+    for k in (2, 3):
+        samples = [runs(n, k)]
+        for p in primes:
+            power = np.tile(runs(n // p, k), p)
+            samples += [power, _shuffled_power(rng, power, n // p)]
+        for letters in samples:
+            s = letters.tolist()
+            roots = ref_a_root_lengths(s)
+            profile = root_profile(Word(letters, k))
+            assert list(profile.a_root_lengths) == roots, (n, k)
+            assert list(profile.a_primitive_root_lengths) == [
+                d for d in roots if ref_a_primitive(s[:d])], (n, k)
+            grid = _PrefixGrid(Word(letters, k))
+            for m in [n] + roots:
+                for d in (d for d in range(1, m + 1) if m % d == 0):
+                    assert grid.blocks_agree(m, d) == ref_has_root(s[:m], d), (n, k, m, d)
 
 
 def _shuffled_power(rng, letters: np.ndarray, d: int) -> np.ndarray:
@@ -406,8 +451,8 @@ def test_one_length_test_matches_reference(k):
 
 @pytest.fixture
 def grids_built(monkeypatch):
-    """Lengths of the words that a `_PrefixGrid`, the prefix sums of
-    block counts that `root_profile` reads, is built on."""
+    """Lengths of the words that a `_PrefixGrid`, the grid of good cuts
+    that `root_profile` reads, is built on."""
     built = []
     init = _PrefixGrid.__init__
 

@@ -212,6 +212,20 @@ def test_root_lengths_are_multiples_of_the_step(k, top):
             assert not any((prim_roots[d] & off_step[d]).any() for d in roots), n
 
 
+def test_multiroot_profile_keeps_one_byte_per_row():
+    # 1,021,020 letters with step 2: the grid keeps one byte per row, and
+    # builds one letter's row counts at a time, 4 bytes a row in n's type
+    w = multiroot_word(7)
+    tracemalloc.start()
+    try:
+        p = root_profile(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.a_primitive_root_lengths == (4, 6, 10, 14, 22, 26, 34)
+    assert peak < 3 * 2**20, peak
+
+
 @pytest.mark.parametrize("k, block, n, bound", [
     # a k = 26 power whose block holds each letter twice: the step is 26;
     # the bincount adds the letters into its int64 tags in place, so the
