@@ -16,10 +16,13 @@ by one rule:
 - A word with fewer letters than k is first ranked to the letters it
   contains, so no count is k wide and every test is O(m) whatever k is.
 - Each length d >= _CUT_COST·k goes to the cut counter, `_cuts_agree`,
-  all such lengths in one pass: the length-d blocks agree exactly when
+  all such lengths together: the length-d blocks agree exactly when
   the prefix Parikh vectors at the cuts d, 2d, ..., m step by one
-  vector, so it counts the letters once between consecutive cuts and
-  drops each length at its first cut that breaks the step.
+  vector. It runs one tally at a time, the nonzero count first, then
+  each letter c >= 2 (or, past _NARROW letters, all letters by
+  bincount), each in one pass between consecutive cuts of the lengths
+  still live, and drops each length at its first cut that breaks the
+  step; a random word's lengths all drop in the first pass.
 - Each other length goes to the block table, `_table_agrees`: it views
   the letters as an (m/d, d) table and counts each letter in every row
   in one vectorized pass, stopping at the first letter whose counts
@@ -207,18 +210,33 @@ def _chunks(segment: np.ndarray):
     return (segment[lo : lo + _CHUNK] for lo in range(0, segment.size, _CHUNK))
 
 
-def _segment_counts(segment: np.ndarray, k: int):
-    """Letter counts of one segment. Comparisons and bincounts run on
-    chunks of at most _CHUNK letters, so their scratch memory stays small."""
+def _letter_count(segment: np.ndarray, c: int) -> int:
+    """How often letter c occurs in one segment, by comparison, one chunk
+    of at most _CHUNK letters at a time."""
+    return sum(np.count_nonzero(chunk == c) for chunk in _chunks(segment))
+
+
+def _tallies(k: int):
+    """The cut counter's tallies, in the order it runs them: each maps a
+    segment to a list of counts, and together with the segment's length
+    they fix its Parikh vector over k letters. The nonzero count comes
+    first, which is the whole vector when k <= 2; then each letter c >= 2
+    by comparison, or past _NARROW letters all k counts by bincount, one
+    chunk of at most _CHUNK letters at a time."""
+    yield lambda segment: [np.count_nonzero(segment)]
     if k > _NARROW:
-        return sum(np.bincount(chunk, minlength=k) for chunk in _chunks(segment)).tolist()
-    # letter c >= 2 by comparison, then letter 1 from the nonzero count
-    # and letter 0 from the length
-    counts = [segment.size, np.count_nonzero(segment)] + [0] * (k - 2)
-    if k > 2:
-        for chunk in _chunks(segment):
-            for c in range(2, k):
-                counts[c] += np.count_nonzero(chunk == c)
+        yield lambda segment: sum(np.bincount(chunk, minlength=k)
+                                  for chunk in _chunks(segment)).tolist()
+    else:
+        yield from (lambda segment, c=c: [_letter_count(segment, c)] for c in range(2, k))
+
+
+def _segment_counts(segment: np.ndarray, k: int) -> list[int]:
+    """Letter counts of one segment, from its length and its tallies."""
+    counts = [segment.size] + [count for tally in _tallies(k) for count in tally(segment)]
+    if k > _NARROW:
+        return counts[2:]
+    # letter 1 follows from the nonzero count and letter 0 from the length
     counts[1] -= sum(counts[2:])
     counts[0] -= sum(counts[1:])
     return counts[:k]
@@ -230,24 +248,35 @@ def _cuts_agree(letters: np.ndarray, lengths, k: int) -> list[int]:
     d must divide letters.size.
 
     The blocks agree exactly when the prefix Parikh vector at each cut
-    t·d is t times the first block's. The letters are counted once,
-    segment by segment between consecutive cuts of the lengths still in
-    play; a length drops at its first cut that breaks the rule, and the
-    count stops once every length has dropped. Time O(letters.size +
-    cuts·k), scratch memory O(_CHUNK + cuts).
+    t·d is t times the first block's, and so exactly when every tally of
+    that prefix is: its length t·d fixes its count of letter 0 from the
+    others, and its nonzero count fixes letter 1 from letters c >= 2.
+    The tallies run one at a time over the lengths still live. Each
+    counts the letters once, segment by segment between consecutive cuts
+    of those lengths; a length drops at its first cut where the tally
+    breaks the rule, and once every length has dropped no later tally
+    runs. So a word whose lengths all fail costs one pass whatever k is,
+    and a length that holds costs k - 1 passes, or two past _NARROW
+    letters. Time O(letters.size·tallies + cuts·k), scratch memory
+    O(_CHUNK + cuts).
     """
-    live, first, prefix, start = list(lengths), {}, [0] * k, 0
-    for end in sorted({t for d in live for t in range(d, letters.size + 1, d)}):
-        at = [d for d in live if end % d == 0]
-        if not at:
-            continue
-        segment = _segment_counts(letters[start:end], k)
-        prefix, start = [a + b for a, b in zip(prefix, segment)], end
-        for d in at:
-            if prefix != [end // d * c for c in first.setdefault(d, prefix)]:
-                live.remove(d)
+    live = list(lengths)
+    for tally in _tallies(k):
         if not live:
             break
+        first, start = {}, 0
+        for end in sorted({t for d in live for t in range(d, letters.size + 1, d)}):
+            at = [d for d in live if end % d == 0]
+            if not at:
+                continue
+            segment = tally(letters[start:end])
+            prefix = [a + b for a, b in zip(prefix, segment)] if start else segment
+            start = end
+            for d in at:
+                if prefix != [end // d * c for c in first.setdefault(d, prefix)]:
+                    live.remove(d)
+            if not live:
+                break
     return live
 
 
@@ -293,10 +322,12 @@ def _table_agrees(letters: np.ndarray, d: int, k: int) -> bool:
     return all(counts.min() == counts.max() for counts in rows)
 
 
-# Counting one segment takes about one numpy call per alphabet letter,
-# each worth what a pass over this many letters costs: a length d is
-# counted at its cuts when d >= _CUT_COST·k, so that its letters.size/d
-# cuts cost at most letters.size/_CUT_COST such passes.
+# A length's tallies take about one numpy call per alphabet letter at
+# each cut: one call per tally, k - 1 tallies up to _NARROW letters, and
+# past it a bincount with k-entry sums. Each call is worth what a pass
+# over this many letters costs: a length d is counted at its cuts when
+# d >= _CUT_COST·k, so that its letters.size/d cuts cost at most
+# letters.size/_CUT_COST such passes.
 _CUT_COST = 512
 
 
@@ -315,7 +346,7 @@ def _blocks_agree(letters: np.ndarray, lengths: list[int], k: int):
 
     Fewer letters than k are first ranked to the letters present, so no
     count is k wide. The lengths with d >= _CUT_COST·k are then counted
-    in one joint cut-counter pass, at the first `next`, and each other
+    together by the cut counter, at the first `next`, and each other
     length goes to the block table when it is reached: O(letters.size)
     time and memory per length, whatever k is.
     """

@@ -6,9 +6,10 @@ otherwise. The oracle tries every proper divisor of n. The production
 decider tests only the maximal proper divisors n/p, which suffices
 because an A-root of length d lifts to every multiple of d dividing n.
 It passes them all, in ascending p, to the block-test entry of
-`abelwords.parikh`, which counts the long ones in one pass at their
-cuts and tests the others on the block table, and takes the first that
-agrees. It never builds the grid of good cuts that `root_profile`
+`abelwords.parikh` and takes the first that agrees. The entry counts
+the long lengths at their cuts, one tally at a time, so a word whose
+lengths all fail costs one pass, and tests the others on the block
+table. It never builds the grid of good cuts that `root_profile`
 reads. A verdict costs O(n) time per length tested, at most one per
 prime factor of n, and O(n) memory whatever the alphabet size.
 """

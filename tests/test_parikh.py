@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,11 @@ from abelwords import (
     shared_root_check,
     sim_n,
 )
-from abelwords.parikh import _CUT_COST, _PrefixGrid, _blocks_agree, _cuts_agree
+from abelwords.parikh import _CHUNK, _CUT_COST, _PrefixGrid, _blocks_agree, _cuts_agree
 from conftest import ref_a_primitive, ref_a_root_lengths, ref_has_root
+
+# the module, not the function `parikh` that the package exports
+parikh_module = importlib.import_module("abelwords.parikh")
 
 words = st.text(alphabet="abcd", min_size=1, max_size=40)
 
@@ -295,15 +299,16 @@ def test_cut_counter_and_block_sums_agree():
     # 6186 = 2·3·1031 and k = 2 the entry counts 3093 and 2062 at their
     # cuts and tests 6 on the block table
     for n, k, lengths in [(720_720, k, [720_720 // p for p in (2, 3, 5, 7, 11, 13)])
-                          for k in (1, 2, 4, 5, 26)] + [(1 << 21, 2048, [1 << 20]),
-                                                        (6186, 2, [3093, 2062, 6])]:
-        dtype = np.uint8 if k <= 256 else np.int64
+                          for k in (1, 2, 3, 4, 5, 16, 17, 26, 300)] + [
+                              (1 << 21, 2048, [1 << 20]), (6186, 2, [3093, 2062, 6])]:
+        # k = 300 as a Word stores it, in uint16
+        dtype = np.uint8 if k <= 256 else np.uint16 if k == 300 else np.int64
         base = [rng.integers(0, k, n).astype(dtype) for _ in range(2)]
         samples = base + [_shuffled_power(rng, base[0], d) for d in lengths]
-        if k > 1:
-            # powers whose last block, or first, differs in one letter:
-            # the length drops out at its last cut
-            samples += [_first_zero_made_top(_shuffled_power(rng, base[1], d), b, d, k)
+        for c in range(min(k - 1, 2)):
+            # powers whose last block, or first, has one letter c made
+            # top: the length drops out at its last cut
+            samples += [_made_top(_shuffled_power(rng, base[1], d), b, d, k, c)
                         for d in lengths for b in (n // d - 1, 0)]
         for letters in samples:
             w = Word(letters, k)
@@ -397,10 +402,69 @@ def _peak_bytes(run, *args) -> int:
 
 
 def test_decider_memory_does_not_grow_with_the_word():
-    # one maximal divisor: two segments, counted in fixed-size chunks
-    w = Word(np.random.default_rng(5).integers(0, 5, 1 << 22).astype(np.uint8), 5)
-    peak = _peak_bytes(is_a_primitive, w)
-    assert peak < 2 * 2**20, peak
+    # one maximal divisor: two segments, counted in fixed-size chunks; the
+    # Abelian squares run every tally, past 16 letters bincounts of chunks
+    rng = np.random.default_rng(5)
+    words = [Word(rng.integers(0, 5, 1 << 22).astype(np.uint8), 5)]
+    for k, dtype in ((26, np.uint8), (300, np.uint16)):
+        half = rng.integers(0, k, 1 << 21).astype(dtype)
+        words.append(Word(np.concatenate([half, rng.permutation(half)]), k))
+    for w in words:
+        assert is_a_primitive(w).is_a_primitive == (w.alphabet_size == 5)
+        peak = _peak_bytes(is_a_primitive, w)
+        assert peak < 2 * 2**20, (w.alphabet_size, peak)
+
+
+@pytest.fixture
+def tallies_run(monkeypatch):
+    """The counting calls of the cut counter, in order: "nonzero" for a
+    nonzero tally of a segment, c for a comparison tally of letter c, and
+    "bincount" for each bincount of a chunk."""
+    run = []
+    count_nonzero, bincount, letter_count = np.count_nonzero, np.bincount, parikh_module._letter_count
+
+    def counted_nonzero(a, *args, **kwargs):
+        if a.dtype != bool:  # a comparison tally counts a mask
+            run.append("nonzero")
+        return count_nonzero(a, *args, **kwargs)
+
+    def counted_bincount(*args, **kwargs):
+        run.append("bincount")
+        return bincount(*args, **kwargs)
+
+    def counted_letter(segment, c):
+        run.append(c)
+        return letter_count(segment, c)
+
+    monkeypatch.setattr(np, "count_nonzero", counted_nonzero)
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    monkeypatch.setattr(parikh_module, "_letter_count", counted_letter)
+    return run
+
+
+def test_cut_counter_runs_a_later_tally_only_for_a_surviving_length(tallies_run):
+    # 720720 = 2^4·3^2·5·7·11·13: every n/p is at least 512·26 letters, so
+    # the cut counter takes them all
+    rng = np.random.default_rng(14)
+    n = 720_720
+    for k in (4, 26):
+        w = Word(rng.integers(0, k, n).astype(np.uint8), k)
+        tallies_run.clear()
+        assert is_a_primitive(w).is_a_primitive
+        # every n/p drops in the nonzero tally, and nothing else is counted
+        assert tallies_run and set(tallies_run) == {"nonzero"}, (k, tallies_run)
+    # an Abelian square: n/2 holds through both segments of every tally,
+    # k - 1 of them, and the nonzero count is never taken again; n/3,
+    # ..., n/13 drop at their second cut in the nonzero tally
+    for k in (4, 26):
+        half = rng.integers(0, k, n // 2).astype(np.uint8)
+        w = Word(np.concatenate([half, rng.permutation(half)]), k)
+        tallies_run.clear()
+        assert is_a_primitive(w).witness_root_length == n // 2
+        nonzero = tallies_run.count("nonzero")
+        assert tallies_run[:nonzero] == ["nonzero"] * nonzero, k
+        chunks = -(-n // 2 // _CHUNK)
+        assert tallies_run[nonzero:] == ([2, 2, 3, 3] if k == 4 else ["bincount"] * 2 * chunks)
 
 
 def test_decider_builds_no_cut_list_for_dense_cuts():
@@ -418,12 +482,15 @@ def test_decider_builds_no_cut_list_for_dense_cuts():
 # --------------------------------------------------- one-length block test
 
 
-def _first_zero_made_top(letters: np.ndarray, block: int, d: int, k: int) -> np.ndarray:
-    """A copy of letters whose given length-d block has its first letter 0
-    turned into letter k-1: only the counts of letters 0 and k-1 change."""
+def _made_top(letters: np.ndarray, block: int, d: int, k: int, c: int) -> np.ndarray:
+    """A copy of letters whose given length-d block has its first letter c
+    turned into letter k-1: only the counts of letters c and k-1 change.
+    With c = 0 the block's nonzero count changes, which the cut counter's
+    first tally sees; with c = 1 and k >= 3 it stays, so only a later
+    tally, of letter k-1 or by bincount, sees the change."""
     out = letters.copy()
     part = out[block * d : (block + 1) * d]
-    part[np.flatnonzero(part == 0)[0]] = k - 1
+    part[np.flatnonzero(part == c)[0]] = k - 1
     return out
 
 
@@ -438,11 +505,14 @@ def test_one_length_test_matches_reference(k):
         n = 3 << 16 if d >= 1 << 15 else 48 * d
         base = rng.integers(0, k, d).astype(np.uint8)
         base[0] = 0  # every block of the power has a letter 0 to change
+        if k > 2 and d > 1:
+            base[1] = 1  # and a letter 1
         power = _shuffled_power(rng, np.tile(base, n // d), d)
         samples = [rng.integers(0, k, n).astype(np.uint8) for _ in range(2)] + [power]
-        if k > 1:
-            # the last block, or the first, differs in letter k-1 alone
-            samples += [_first_zero_made_top(power, b, d, k) for b in (n // d - 1, 0)]
+        # the last block, or the first, differs in letter k-1 and letter
+        # 0, or letter 1 where blocks have one
+        for c in range(min(k - 1, 2, d)):
+            samples += [_made_top(power, b, d, k, c) for b in (n // d - 1, 0)]
         for letters in samples:
             expected = ref_has_root(letters.tolist(), d)
             assert has_a_root_of_length(Word(letters, k), d) == expected, (k, d)
