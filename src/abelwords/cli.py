@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -89,7 +88,7 @@ def cmd_roots(args):
             f"A-primitive root lengths: {primitive}\n"
         )
 
-    return 0, dataclasses.asdict(profile), text
+    return 0, profile._asdict(), text
 
 
 def cmd_construct(args):
@@ -121,7 +120,7 @@ def cmd_relate(args):
 
 def _count_rows(rows):
     """The JSON payload and the TSV text of count rows, for count and table."""
-    payload = [dataclasses.asdict(r) for r in rows]
+    payload = [r._asdict() for r in rows]
     return payload, lambda: "n\tpsi\tpsi_a\tdelta\n" + "".join(
         f"{r.n}\t{r.psi}\t{r.psi_a}\t{r.delta}\n" for r in rows
     )

@@ -13,9 +13,9 @@ anything is allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import prod
+from typing import NamedTuple
 
 from .counting import DEFAULT_BUDGET
 from .numtheory import is_prime, middle_antichain
@@ -30,8 +30,7 @@ class ConstructionBudgetError(Exception):
     """The requested word would be longer than the budget allows."""
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
+class ConstructionSpec(NamedTuple):
     """A named family plus its integer parameter, validated together."""
 
     family: str

@@ -19,7 +19,8 @@ delta, count_table and the CLI's count read, is built in one place: n
 is factorized once and its terms are listed once. psi alone keeps its
 own path, with no budget. At prime powers delta has a closed form
 (delta_prime_power), the single |S| = 1 term; it keeps its own loop, as
-an independent check of psi_a.
+an independent check of psi_a, behind the same two budget checks, so it
+refuses exactly where psi_a(k, p**r) does at the default budget.
 
 All counts are exact unbounded integers.
 """
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .numtheory import factorize, is_prime
 
@@ -41,16 +42,14 @@ class EnumerationBudgetError(Exception):
     factors times n), exceeds the budget."""
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     n: int
     psi: int
     psi_a: int
     delta: int
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     alphabet_size: int
     rows: tuple[CountRow, ...]
     skipped: tuple[int, ...] = ()
@@ -110,19 +109,14 @@ def _words_with_roots(k: int, unit: int, primes) -> int:
     return total
 
 
-def _count_row(k: int, n: int, budget: int | None) -> CountRow:
-    """The row (n, psi, psi_a, delta) that psi_a, delta, count_table and
-    the CLI's count read; no other code builds a CountRow.
+def _budgeted_terms(k: int, n: int, budget: int | None, primes):
+    """The terms of n, checked against the budget; None at k = 1.
 
     In order: validate k and n, check the size of k**n, answer k = 1,
-    factorize n and list its terms once, check the cost, and only then
-    evaluate k**n, once, for psi. delta is summed term by term: the term
-    (sign, n/L, S) adds sign * (words with an A-root at every n/p for p
-    in S, minus the k**(n/L) L-th powers). At n/L = 1 both are the k
-    unary words, so only terms with n/L > 1 are costed and summed; n = 1
-    has no term and a prime n only one with n/L = 1, so their rows cost
-    0 and sum nothing. A refusal never pays for k**n, and an oversized n
-    is never factorized.
+    list the terms over primes() (so n is factorized, when it is, only
+    after the size check) and check their cost: n times the multinomial
+    factors of every term with n/L > 1. psi_a's row and the closed form
+    at prime powers refuse here, with the same checks.
     """
     if k < 1 or n < 1:
         raise ValueError("psi_a requires k >= 1 and n >= 1")
@@ -135,18 +129,36 @@ def _count_row(k: int, n: int, budget: int | None) -> CountRow:
             f"over the budget of {limit}"
         )
     if k == 1:
-        one = int(n == 1)
-        return CountRow(n, one, one, 0)
-    terms = list(_inclusion_exclusion(n, factorize(n).primes))
-    summed = [(sign, unit, s) for sign, unit, s in terms if unit > 1]
-    cost = n * sum(
-        math.comb(unit + k - 1, k - 1) * (sum(s) - len(s) + 1) for _, unit, s in summed
-    )
+        return None
+    terms = list(_inclusion_exclusion(n, primes()))
+    cost = n * sum(math.comb(unit + k - 1, k - 1) * (sum(s) - len(s) + 1)
+                   for _, unit, s in terms if unit > 1)
     if cost > limit:
         raise EnumerationBudgetError(
             f"counting A-primitive words over {k} letters at n={n} costs {cost} "
             f"(multinomial factors times n), over the budget of {limit}"
         )
+    return terms
+
+
+def _count_row(k: int, n: int, budget: int | None) -> CountRow:
+    """The row (n, psi, psi_a, delta) that psi_a, delta, count_table and
+    the CLI's count read; no other code builds a CountRow.
+
+    The checks of `_budgeted_terms` run first, and only then is k**n
+    evaluated, once, for psi. delta is summed term by term: the term
+    (sign, n/L, S) adds sign * (words with an A-root at every n/p for p
+    in S, minus the k**(n/L) L-th powers). At n/L = 1 both are the k
+    unary words, so only terms with n/L > 1 are costed and summed; n = 1
+    has no term and a prime n only one with n/L = 1, so their rows cost
+    0 and sum nothing. A refusal never pays for k**n, and an oversized n
+    is never factorized.
+    """
+    terms = _budgeted_terms(k, n, budget, lambda: factorize(n).primes)
+    if terms is None:
+        one = int(n == 1)
+        return CountRow(n, one, one, 0)
+    summed = [(sign, unit, s) for sign, unit, s in terms if unit > 1]
     full = _psi(k, k ** n, terms)
     gap = sum(sign * (_words_with_roots(k, unit, s) - k ** unit) for sign, unit, s in summed)
     return CountRow(n, full, full - gap, gap)
@@ -203,11 +215,16 @@ def delta_prime_power(k: int, p: int, r: int) -> int:
     contributes C * (C**(p-1) - 1). Summed, this is the single |S| = 1
     term of delta: the words with an A-root of length p**(r-1), less the
     k**(p**(r-1)) p-th powers.
+
+    It raises EnumerationBudgetError exactly where psi_a(k, p**r) does at
+    DEFAULT_BUDGET, with the same checks: the size of k**(p**r), then
+    the cost p**r * C(p**(r-1)+k-1, k-1) * p. Both run before p's
+    primality test and the loop.
     """
-    if k < 1:
-        raise ValueError("delta_prime_power requires k >= 1")
-    if r < 2:
-        raise ValueError(f"delta_prime_power requires r >= 2, got {r}")
+    if k < 1 or p < 2 or r < 2:
+        raise ValueError(f"delta_prime_power requires k >= 1, prime p and r >= 2, "
+                         f"got k={k}, p={p}, r={r}")
+    _budgeted_terms(k, p ** r, None, lambda: (p,))
     if not is_prime(p):
         raise ValueError(f"delta_prime_power requires prime p, got {p}")
     base = p ** (r - 1)

@@ -12,12 +12,11 @@ keeps those whose sum is half of n's, rounded down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization as (prime, exponent) pairs, ascending by prime."""
 
     entries: tuple[tuple[int, int], ...]

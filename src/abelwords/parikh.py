@@ -111,6 +111,10 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        # __setattr__ refuses, so pickle rebuilds the word through __init__
+        return Word, (self.letters, self.alphabet_size)
+
     def __len__(self) -> int:
         return self.letters.size
 

@@ -16,21 +16,29 @@ prime factor of n, and O(n) memory whatever the alphabet size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .numtheory import divisors, factorize
 from .parikh import Word, _blocks_agree, has_a_root_of_length
 
 
-@dataclass(frozen=True)
-class PrimitivityVerdict:
+class _Verdict(NamedTuple):
     is_a_primitive: bool
     witness_root_length: Optional[int] = None
 
-    def __post_init__(self):
-        if self.is_a_primitive != (self.witness_root_length is None):
+
+class PrimitivityVerdict(_Verdict):
+    """A verdict, with a witness root length exactly when not A-primitive;
+    the check runs on every construction, `_make` and `_replace` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, is_a_primitive: bool, witness_root_length: Optional[int] = None):
+        if is_a_primitive != (witness_root_length is None):
             raise ValueError("witness must be present exactly when not A-primitive")
+        return super().__new__(cls, is_a_primitive, witness_root_length)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _require_nonempty(w: Word) -> int:

@@ -22,8 +22,7 @@ witness's ux.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .parikh import Word, _blocks_agree, _deferred_numpy, _sorted_blocks, has_a_root_of_length
 from .primitivity import is_a_primitive
@@ -31,8 +30,7 @@ from .primitivity import is_a_primitive
 np = _deferred_numpy()
 
 
-@dataclass(frozen=True)
-class CommutationWitness:
+class CommutationWitness(NamedTuple):
     """ux in r blocks, u ending in block s, each block cut after q letters;
     the alphas (left parts) and betas (right parts) are built when read."""
 

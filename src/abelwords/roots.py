@@ -24,14 +24,13 @@ and a word with g = n has no proper A-root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numtheory import divisors, factorize
 from .parikh import Word, _PrefixGrid
 
 
-@dataclass(frozen=True)
-class RootProfile:
+class RootProfile(NamedTuple):
     word_length: int
     a_root_lengths: tuple[int, ...]
     a_primitive_root_lengths: tuple[int, ...]

@@ -256,6 +256,51 @@ def test_delta_prime_power_validation():
         delta_prime_power(2, 2, 1)  # r >= 2
     with pytest.raises(ValueError):
         delta_prime_power(0, 2, 2)
+    with pytest.raises(ValueError):
+        delta_prime_power(2, 1, 2)  # p < 2 is rejected before any budget check
+
+
+def _refusal(count, *args):
+    """The budget refusal's message, or None when the count answers."""
+    try:
+        count(*args)
+    except EnumerationBudgetError as exc:
+        return str(exc)
+    return None
+
+
+def test_delta_prime_power_refuses_exactly_where_psi_a_does(monkeypatch):
+    # small default budgets put the boundary among rows cheap to answer;
+    # the messages agree too, so both refuse at the same check
+    outcomes = set()
+    for budget in (100, 10_000):
+        monkeypatch.setattr(counting, "DEFAULT_BUDGET", budget)
+        for k in (1, 2, 3, 4, 6):
+            for p in (2, 3, 5, 7):
+                for r in range(2, 14 if p == 2 else 7):
+                    refused = _refusal(psi_a, k, p**r)
+                    assert _refusal(delta_prime_power, k, p, r) == refused, (budget, k, p, r)
+                    outcomes.add(refused and refused.split()[0])
+    # answers, size refusals ("psi_a over ...") and cost refusals all occur
+    assert outcomes == {None, "psi_a", "counting"}
+
+
+def test_delta_prime_power_refuses_before_the_primality_test(monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) ran before the budget checks")
+
+    monkeypatch.setattr(counting, "is_prime", no_trial_division)
+    # 10^18 + 9 would be trial-divided up to 10^9; the size of 2**(p**2) refuses first
+    with pytest.raises(EnumerationBudgetError, match="64-bit words"):
+        delta_prime_power(2, 10**18 + 9, 2)
+    # the loop would walk C(2073, 25) compositions; psi_a(26, 4096) is the same row
+    with pytest.raises(EnumerationBudgetError, match="multinomial factors") as info:
+        delta_prime_power(26, 2, 12)
+    assert str(info.value) == _refusal(psi_a, 26, 4096)
+    # the benchmark's rows cost 288 and 945, far inside the default budget
+    monkeypatch.undo()
+    assert delta_prime_power(2, 2, 4) == delta(2, 16)
+    assert delta_prime_power(5, 3, 2) == delta(5, 9)
 
 
 # ------------------------------------------------------------ count_table

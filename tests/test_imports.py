@@ -59,6 +59,24 @@ def test_counting_usage_errors_and_refusals_never_execute_numpy(argv, code):
     assert " numpy" not in proc.stderr  # no numpy module in the import log
 
 
+_LOADED = "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"
+
+
+def test_import_and_count_load_neither_dataclasses_nor_inspect():
+    # the result records are named tuples; dataclasses would import inspect
+    code = (
+        "import sys\n"
+        "import abelwords, abelwords.cli\n"
+        f"imported = {_LOADED}\n"
+        + _RUN_MAIN.format(argv=["count", "--k", "2", "--n", "12"])
+        + f"sys.stderr.write('\\nLOADED ' + json.dumps([imported, {_LOADED}]))\n"
+    )
+    proc = _python(code=code)
+    result, _, loaded = proc.stderr.rpartition("\nRESULT ")[2].partition("\nLOADED ")
+    assert json.loads(result) == [0, False], proc.stderr  # exit 0, numpy not executed
+    assert json.loads(loaded) == [[], []]
+
+
 def test_check_executes_numpy_once_and_answers():
     code = (
         "import sys, types\n"
