@@ -6,9 +6,10 @@ multiroot_word(n) glues the first n primes into one word of length
 2 * p1 * ... * pn with n distinct A-primitive roots. antichain_word(n)
 realizes the upper bound s(n): one word of length 2n with an
 A-primitive root of length 2t for every t in the middle antichain of n.
-ConstructionSpec builds a family by name, after checking the length of
-the word against a budget (the counting layer's default) before
-anything is allocated.
+ConstructionSpec builds a family by name: it checks the family and the
+length of the word against a budget (the counting layer's default)
+before anything is allocated, and the family function then checks its
+parameter.
 """
 
 from __future__ import annotations
@@ -23,47 +24,38 @@ from .parikh import Word, _deferred_numpy
 
 np = _deferred_numpy()
 
-FAMILIES = ("mword", "multiroot", "antichain")
-
 
 class ConstructionBudgetError(Exception):
     """The requested word would be longer than the budget allows."""
 
 
 class ConstructionSpec(NamedTuple):
-    """A named family plus its integer parameter, validated together."""
+    """A named family plus its integer parameter."""
 
     family: str
     parameter: int
 
     def validate(self, budget: int | None = None) -> None:
-        """Check the family, the parameter's range, then the word's length
-        against the budget (default DEFAULT_BUDGET letters), and only then
-        anything slower, such as mword's primality test."""
+        """Check the family, then the word's length against the budget
+        (default DEFAULT_BUDGET letters); the family function checks the
+        parameter when build calls it."""
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.family == "mword" and self.parameter < 2:
-            raise ValueError("mword requires a prime parameter")
-        if self.family == "multiroot" and self.parameter < 1:
-            raise ValueError("multiroot requires parameter >= 1")
-        if self.family == "antichain" and self.parameter < 2:
-            raise ValueError("antichain requires parameter >= 2")
         limit = DEFAULT_BUDGET if budget is None else int(budget)
         if self._length(limit) > limit:
             raise ConstructionBudgetError(
                 f"{self.family} {self.parameter} would build a word of more than "
                 f"{limit} letters, over the budget"
             )
-        if self.family == "mword" and not is_prime(self.parameter):
-            raise ValueError("mword requires a prime parameter")
 
     def _length(self, cap: int) -> int:
         """Length of the word: 2p, 2 * (product of the first n primes) or
-        2n. The product stops growing once it passes cap."""
+        2n. The product stops growing once it passes cap; a negative n
+        counts no primes."""
         if self.family != "multiroot":
             return 2 * self.parameter
         length = 2
-        for p in islice(_primes(), self.parameter):
+        for p in islice(_primes(), max(self.parameter, 0)):
             if length > cap:
                 break
             length *= p
@@ -71,12 +63,7 @@ class ConstructionSpec(NamedTuple):
 
     def build(self, budget: int | None = None) -> Word:
         self.validate(budget)
-        if self.family == "mword":
-            # validate has tested the primality that m_word would test again
-            return _aabb_ab_power(self.parameter - 2)
-        if self.family == "multiroot":
-            return multiroot_word(self.parameter)
-        return antichain_word(self.parameter)
+        return _BUILDERS[self.family](self.parameter)
 
 
 def _aabb_ab_power(m: int) -> Word:
@@ -139,6 +126,10 @@ def antichain_word(n: int) -> Word:
     gaps = np.diff(np.flatnonzero(marked), prepend=0)
     runs = np.tile(np.array([0, 1], dtype=np.uint8), gaps.size)
     return Word(np.repeat(runs, np.repeat(gaps, 2)), 2)
+
+
+_BUILDERS = {"mword": m_word, "multiroot": multiroot_word, "antichain": antichain_word}
+FAMILIES = tuple(_BUILDERS)
 
 
 def is_in_M(w: Word) -> bool:

@@ -15,12 +15,12 @@ no term and a prime n only that one, so their delta is 0 with no
 branch. An explicit budget on the size of k**n and on the number of
 multinomial factors guards against runaway runs; both are checked
 before k**n is evaluated. A row (n, psi, psi_a, delta), which psi_a,
-delta, count_table and the CLI's count read, is built in one place: n
-is factorized once and its terms are listed once. psi alone keeps its
-own path, with no budget. At prime powers delta has a closed form
-(delta_prime_power), the single |S| = 1 term; it keeps its own loop, as
-an independent check of psi_a, behind the same two budget checks, so it
-refuses exactly where psi_a(k, p**r) does at the default budget.
+delta, delta_prime_power, count_table and the CLI's count read, is
+built in one place: n is factorized once and its terms are listed once.
+psi alone keeps its own path, with no budget. At prime powers delta has
+a closed form (delta_prime_power), the single |S| = 1 term, read off
+the row of p**r, so it refuses exactly where psi_a(k, p**r) does at the
+default budget.
 
 All counts are exact unbounded integers.
 """
@@ -109,14 +109,21 @@ def _words_with_roots(k: int, unit: int, primes) -> int:
     return total
 
 
-def _budgeted_terms(k: int, n: int, budget: int | None, primes):
-    """The terms of n, checked against the budget; None at k = 1.
+def _count_row(k: int, n: int, budget: int | None, ready=lambda: None) -> CountRow:
+    """The row (n, psi, psi_a, delta) that psi_a, delta, delta_prime_power,
+    count_table and the CLI's count read; no other code builds a CountRow.
 
     In order: validate k and n, check the size of k**n, answer k = 1,
-    list the terms over primes() (so n is factorized, when it is, only
-    after the size check) and check their cost: n times the multinomial
-    factors of every term with n/L > 1. psi_a's row and the closed form
-    at prime powers refuse here, with the same checks.
+    factorize n (so an oversized n is never factorized) and list its
+    terms, and check their cost: n times the multinomial factors of every
+    term with n/L > 1. Then ready() runs, delta_prime_power's primality
+    test, and only then is k**n evaluated, once, for psi, so a refusal
+    never pays for it. delta is summed term by term: the term
+    (sign, n/L, S) adds sign * (words with an A-root at every n/p for p
+    in S, minus the k**(n/L) L-th powers). At n/L = 1 both are the k
+    unary words, so only terms with n/L > 1 are costed and summed; n = 1
+    has no term and a prime n only one with n/L = 1, so their rows cost
+    0 and sum nothing.
     """
     if k < 1 or n < 1:
         raise ValueError("psi_a requires k >= 1 and n >= 1")
@@ -129,36 +136,19 @@ def _budgeted_terms(k: int, n: int, budget: int | None, primes):
             f"over the budget of {limit}"
         )
     if k == 1:
-        return None
-    terms = list(_inclusion_exclusion(n, primes()))
+        ready()
+        one = int(n == 1)
+        return CountRow(n, one, one, 0)
+    terms = list(_inclusion_exclusion(n, factorize(n).primes))
+    summed = [(sign, unit, s) for sign, unit, s in terms if unit > 1]
     cost = n * sum(math.comb(unit + k - 1, k - 1) * (sum(s) - len(s) + 1)
-                   for _, unit, s in terms if unit > 1)
+                   for _, unit, s in summed)
     if cost > limit:
         raise EnumerationBudgetError(
             f"counting A-primitive words over {k} letters at n={n} costs {cost} "
             f"(multinomial factors times n), over the budget of {limit}"
         )
-    return terms
-
-
-def _count_row(k: int, n: int, budget: int | None) -> CountRow:
-    """The row (n, psi, psi_a, delta) that psi_a, delta, count_table and
-    the CLI's count read; no other code builds a CountRow.
-
-    The checks of `_budgeted_terms` run first, and only then is k**n
-    evaluated, once, for psi. delta is summed term by term: the term
-    (sign, n/L, S) adds sign * (words with an A-root at every n/p for p
-    in S, minus the k**(n/L) L-th powers). At n/L = 1 both are the k
-    unary words, so only terms with n/L > 1 are costed and summed; n = 1
-    has no term and a prime n only one with n/L = 1, so their rows cost
-    0 and sum nothing. A refusal never pays for k**n, and an oversized n
-    is never factorized.
-    """
-    terms = _budgeted_terms(k, n, budget, lambda: factorize(n).primes)
-    if terms is None:
-        one = int(n == 1)
-        return CountRow(n, one, one, 0)
-    summed = [(sign, unit, s) for sign, unit, s in terms if unit > 1]
+    ready()
     full = _psi(k, k ** n, terms)
     gap = sum(sign * (_words_with_roots(k, unit, s) - k ** unit) for sign, unit, s in summed)
     return CountRow(n, full, full - gap, gap)
@@ -207,32 +197,27 @@ def _multinomial(total: int, parts) -> int:
 
 
 def delta_prime_power(k: int, p: int, r: int) -> int:
-    """Closed form for delta(k, p**r), r >= 2, p prime.
+    """Closed form for delta(k, p**r), r >= 2, p prime: the single
+    |S| = 1 term of delta, the words with an A-root of length p**(r-1)
+    less the k**(p**(r-1)) p-th powers. Over the Parikh vectors summing
+    to p**(r-1), each with multinomial count C, it is the sum of
+    C * (C**(p-1) - 1).
 
-    Sums over all ordered k-tuples (n_1, ..., n_k) of nonnegative
-    integers adding to p**(r-1): each tuple is a Parikh vector, C is the
-    multinomial count of words with that vector, and the tuple
-    contributes C * (C**(p-1) - 1). Summed, this is the single |S| = 1
-    term of delta: the words with an A-root of length p**(r-1), less the
-    k**(p**(r-1)) p-th powers.
-
-    It raises EnumerationBudgetError exactly where psi_a(k, p**r) does at
-    DEFAULT_BUDGET, with the same checks: the size of k**(p**r), then
-    the cost p**r * C(p**(r-1)+k-1, k-1) * p. Both run before p's
-    primality test and the loop.
+    It reads delta off the row of p**r at DEFAULT_BUDGET, so it raises
+    EnumerationBudgetError exactly where psi_a(k, p**r) does. p's
+    primality is tested once both budget checks pass and before any term
+    is summed: over k >= 2 letters a p**r that passes the size check is
+    at most 2**36, so p takes at most about 512 trial divisions.
     """
     if k < 1 or p < 2 or r < 2:
         raise ValueError(f"delta_prime_power requires k >= 1, prime p and r >= 2, "
                          f"got k={k}, p={p}, r={r}")
-    _budgeted_terms(k, p ** r, None, lambda: (p,))
-    if not is_prime(p):
-        raise ValueError(f"delta_prime_power requires prime p, got {p}")
-    base = p ** (r - 1)
-    total = 0
-    for tup in _compositions(base, k):
-        c = _multinomial(base, tup)
-        total += c * (c ** (p - 1) - 1)
-    return total
+
+    def prime_p():
+        if not is_prime(p):
+            raise ValueError(f"delta_prime_power requires prime p, got {p}")
+
+    return _count_row(k, p ** r, None, prime_p).delta
 
 
 def count_table(k: int, max_n: int, *, budget: int | None = None) -> CountTable:

@@ -1,11 +1,13 @@
 """Shared fixtures, reference oracles, and the acceptance summary hook.
 
 The reference oracles here are deliberately independent implementations
-(Counter comparisons, full divisor scans, a Moebius sum for psi, a sieve
-of smallest prime factors, a from-scratch vectorized sweep) so the
-library is always checked against something written separately from it.
+(Counter comparisons, full divisor scans, a Moebius sum for psi, a
+stars-and-bars sum for delta at prime powers, a sieve of smallest prime
+factors, a from-scratch vectorized sweep) so the library is always
+checked against something written separately from it.
 """
 
+import itertools
 import math
 import os
 import pathlib
@@ -94,6 +96,21 @@ def ref_psi(k: int, n: int) -> int:
     """Classically primitive words by definition: the Moebius sum over a
     scan of every divisor d of n, each contributing mu(n/d) * k**d."""
     return sum(ref_mobius(n // d) * k**d for d in range(1, n + 1) if n % d == 0)
+
+
+def ref_delta_prime_power(k: int, p: int, r: int) -> int:
+    """delta(k, p**r) in closed form, p prime and r >= 2: an Abelian
+    power that is not a power has an A-root of length m = p**(r-1), so it
+    is p blocks of m letters sharing one Parikh vector. For each vector
+    (an ordered k-tuple summing to m, listed by stars and bars) with
+    multinomial count C, that makes C**p words, C of them p-th powers."""
+    m = p ** (r - 1)
+    total = 0
+    for bars in itertools.combinations(range(m + k - 1), k - 1):
+        parts = [b - a - 1 for a, b in zip((-1,) + bars, bars + (m + k - 1,))]
+        c = math.factorial(m) // math.prod(math.factorial(x) for x in parts)
+        total += c**p - c
+    return total
 
 
 def max_division_free_size(values) -> int:

@@ -32,7 +32,14 @@ from abelwords import (
     simeq_n,
     witness_is_valid,
 )
-from conftest import _digit_block, _prim_table, max_division_free_size, sweep_violations
+from conftest import (
+    _digit_block,
+    _prim_table,
+    max_division_free_size,
+    ref_delta_prime_power,
+    ref_psi,
+    sweep_violations,
+)
 
 # A-primitive word counts by alphabet size and length.
 REF_K2 = [2, 2, 6, 10, 30, 36, 126, 186, 456, 740,
@@ -111,7 +118,8 @@ def test_criterion_4_delta_prime_power():
     for (k, p, r), pinned in cases.items():
         n = p**r
         direct = delta_prime_power(k, p, r)
-        assert direct == psi(k, n) - psi_a(k, n), (k, p, r)
+        assert direct == ref_delta_prime_power(k, p, r), (k, p, r)
+        assert direct == ref_psi(k, n) - int(_prim_table(k, n).sum()), (k, p, r)
         if pinned is not None:
             assert direct == pinned
 

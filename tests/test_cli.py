@@ -3,6 +3,8 @@ import io
 import json
 import pathlib
 import random
+import re
+import shlex
 import subprocess
 import sys
 
@@ -13,6 +15,7 @@ from abelwords.cli import main
 from conftest import child_env
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "table_k2_n20.tsv"
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -146,9 +149,10 @@ def test_construct_over_budget_exit_code(cli, monkeypatch):
 
 
 def test_construct_bad_parameter(cli):
-    code, _, err = cli(["construct", "mword", "6"])
-    assert code == 2
-    assert "error:" in err
+    for argv in (["construct", "mword", "6"], ["construct", "multiroot", "-1"]):
+        code, out, err = cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 # ----------------------------------------------------------------- relate
@@ -379,6 +383,38 @@ def test_cli_golden_bytes(cli, monkeypatch, argv, stdin_text, budget, code, out)
         monkeypatch.setenv("ABELWORDS_BUDGET", budget)
     got_code, got_out, _ = cli(argv, stdin_text)
     assert (got_code, got_out) == (code, out)
+
+
+def _readme_examples():
+    """(argv, stdout) for every `$ abelwords ...` line in README.md's
+    console blocks: the output shown is the lines after the command, up to
+    the next command or the end of the block, less trailing blank lines."""
+    examples = []
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"^```console\n(.*?)^```$", text, re.S | re.M):
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                prog, *argv = shlex.split(line[2:])
+                assert prog == "abelwords", line
+                examples.append((argv, []))
+            else:
+                examples[-1][1].append(line)
+    return [(argv, "\n".join(shown).rstrip("\n") + "\n") for argv, shown in examples]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_examples_are_found():
+    assert len(README_EXAMPLES) == 4
+
+
+@pytest.mark.parametrize("argv, shown", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_example_output(cli, monkeypatch, argv, shown):
+    monkeypatch.delenv("ABELWORDS_BUDGET", raising=False)
+    _, out, _ = cli(argv)
+    assert out == shown
 
 
 # ------------------------------------------------------------- usage/misc

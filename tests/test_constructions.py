@@ -155,9 +155,13 @@ def test_construction_spec_validation():
     with pytest.raises(ValueError):
         ConstructionSpec("mword", 4).build()
     with pytest.raises(ValueError):
-        ConstructionSpec("multiroot", 0).build()
-    with pytest.raises(ValueError):
         ConstructionSpec("antichain", 1).build()
+    # the spec checks the family and the length; the family function
+    # checks the parameter, and a negative multiroot count lists no primes
+    for family in FAMILIES:
+        for parameter in (0, -1):
+            with pytest.raises(ValueError):
+                ConstructionSpec(family, parameter).build()
 
 
 def test_construction_spec_checks_length_before_building():

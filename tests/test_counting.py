@@ -14,7 +14,7 @@ from abelwords import (
 )
 from abelwords import counting
 from abelwords.cli import main
-from conftest import _prim_table, ref_a_primitive, ref_psi
+from conftest import _prim_table, ref_a_primitive, ref_delta_prime_power, ref_psi
 
 
 def every_word(k: int, n: int):
@@ -213,6 +213,9 @@ def test_one_factorization_per_row(monkeypatch):
     calls.clear()
     assert main(["count", "--k", "3", "--n", "12"]) == 0
     assert calls == [12]
+    calls.clear()
+    assert delta_prime_power(3, 2, 5) == ref_delta_prime_power(3, 2, 5)
+    assert calls == [32]
 
 
 def test_budget_env_is_not_read_by_library(monkeypatch):
@@ -238,7 +241,10 @@ def test_delta_prime_power_closed_form():
     cases = [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 2), (3, 2, 2), (4, 2, 2),
              (2, 2, 6), (2, 3, 3), (3, 5, 2), (2, 7, 2)]
     for k, p, r in cases:
-        assert delta_prime_power(k, p, r) == delta(k, p**r), (k, p, r)
+        direct = delta_prime_power(k, p, r)
+        assert direct == ref_delta_prime_power(k, p, r), (k, p, r)
+        if k ** (p**r) <= 1 << 16:
+            assert direct == ref_psi(k, p**r) - int(_prim_table(k, p**r).sum()), (k, p, r)
 
 
 def test_delta_prime_power_counts_ordered_tuples():
@@ -258,6 +264,13 @@ def test_delta_prime_power_validation():
         delta_prime_power(0, 2, 2)
     with pytest.raises(ValueError):
         delta_prime_power(2, 1, 2)  # p < 2 is rejected before any budget check
+    # the row of 6**2 over 10 letters costs 369,916,560, inside the budget,
+    # and would walk about 5.3M compositions; a composite p is rejected
+    # once the budget checks pass, before any term is summed
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="requires prime p, got 6"):
+        delta_prime_power(10, 6, 2)
+    assert time.perf_counter() - start < 1
 
 
 def _refusal(count, *args):
@@ -297,6 +310,13 @@ def test_delta_prime_power_refuses_before_the_primality_test(monkeypatch):
     with pytest.raises(EnumerationBudgetError, match="multinomial factors") as info:
         delta_prime_power(26, 2, 12)
     assert str(info.value) == _refusal(psi_a, 26, 4096)
+    # 262139, the largest prime below 2**18, passes the size check at r = 2
+    # (2**(262139**2) takes 1073700865 64-bit words), so p**2 is
+    # trial-divided inside the row before its cost is refused
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetError, match="multinomial factors"):
+        delta_prime_power(2, 262139, 2)
+    assert time.perf_counter() - start < 1
     # the benchmark's rows cost 288 and 945, far inside the default budget
     monkeypatch.undo()
     assert delta_prime_power(2, 2, 4) == delta(2, 16)
